@@ -9,7 +9,8 @@
 //! machines. Set `CYCLOPS_BENCH_JSON=<path>` to additionally write panel 1
 //! as a machine-readable JSON baseline (the committed `BENCH_fig9.json`).
 //! Panel 1b diffs the fresh Cyclops bytes/time per workload against the
-//! committed baseline (override its path with `CYCLOPS_BENCH_BASELINE`).
+//! committed baseline at the workspace root (override its path with
+//! `CYCLOPS_BENCH_BASELINE`).
 //! PageRank/SSSP rows also carry hybrid-replication fields (replication
 //! factor and total bytes at the auto degree threshold, asserted bitwise
 //! identical to the full-replication run).
@@ -108,8 +109,10 @@ fn main() {
     );
     // Read the committed baseline BEFORE `CYCLOPS_BENCH_JSON` may overwrite
     // it, so the delta panel diffs against what was committed.
-    let baseline =
-        std::env::var("CYCLOPS_BENCH_BASELINE").unwrap_or_else(|_| "BENCH_fig9.json".into());
+    // `cargo bench` runs from the crate directory, so the default resolves
+    // against the workspace root, where the baseline is committed.
+    let baseline = std::env::var("CYCLOPS_BENCH_BASELINE")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig9.json").into());
     let baseline_text = std::fs::read_to_string(&baseline);
     if let Ok(path) = std::env::var("CYCLOPS_BENCH_JSON") {
         let path = std::path::PathBuf::from(path);

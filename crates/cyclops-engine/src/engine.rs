@@ -129,6 +129,10 @@ pub struct CyclopsConfig {
     /// drains one priority bucket `[bΔ, (b+1)Δ)` to a fixpoint — fusing as
     /// many relaxation rounds as the bucket needs behind a *single* pair of
     /// global barrier waits — before advancing to the next nonempty bucket.
+    /// The fused rounds run on `min(nproc, W)` settle threads, each owning a
+    /// stripe of the workers and meeting the others at two barriers per
+    /// round; results are bitwise identical at any thread count. The
+    /// settle ignores `sched` and `sparse_cutoff`.
     /// On high-diameter graphs this collapses the paper's Figure 9 SSSP
     /// pathology (~one barrier per hop) to ~one barrier per bucket. Only
     /// useful for programs with a [`CyclopsProgram::priority`]; without one,
@@ -363,6 +367,24 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     resume: Option<&CyclopsCheckpoint<P::Value, P::Message>>,
     trace: Option<&TraceSink>,
 ) -> CyclopsResult<P::Value, P::Message> {
+    // The bucketed settle runs on one thread per available core (capped at
+    // the worker count); the classic loop ignores the count.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_cyclops_settled(program, graph, plan, config, resume, trace, cores)
+}
+
+/// [`run_cyclops_with_plan_traced`] with the bucketed settle's thread count
+/// `P` given explicitly (clamped to `1..=W`). Results, counters and traces
+/// are bitwise identical at every `P`; only the settle's wall time changes.
+pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
+    program: &P,
+    graph: &Graph,
+    plan: &CyclopsPlan,
+    config: &CyclopsConfig,
+    resume: Option<&CyclopsCheckpoint<P::Value, P::Message>>,
+    trace: Option<&TraceSink>,
+    settle_threads: usize,
+) -> CyclopsResult<P::Value, P::Message> {
     let spec = config.cluster;
     let num_workers = spec.num_workers();
     let threads = spec.threads_per_worker;
@@ -515,6 +537,14 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
     let sched_obs = SchedObs::resolve("cyclops");
 
     let loop_start = Instant::now();
+    let bucket = (config.bucket_width > 0.0).then(|| {
+        BucketSched::new(
+            &shared,
+            start_superstep & 1,
+            config.bucket_width,
+            settle_threads.clamp(1, num_workers),
+        )
+    });
     // With the cap at or below the resume point there is no superstep left
     // to run (max_supersteps is a global cap, not a budget from the resume).
     let budget_left = start_superstep < config.max_supersteps;
@@ -541,6 +571,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
                     let supersteps_done = &supersteps_done;
                     let phase_hists = phase_hists.as_ref();
                     let sched_obs = sched_obs.as_ref();
+                    let bucket = bucket.as_ref();
                     scope.spawn(move || {
                         thread_loop(ThreadEnv {
                             w,
@@ -572,6 +603,7 @@ pub fn run_cyclops_with_plan_traced<P: CyclopsProgram>(
                             supersteps_done,
                             total_vertices,
                             start_superstep,
+                            bucket,
                         });
                     });
                 }
@@ -639,6 +671,8 @@ struct ThreadEnv<'a, P: CyclopsProgram> {
     supersteps_done: &'a AtomicUsize,
     total_vertices: usize,
     start_superstep: usize,
+    /// The bucketed scheduler; `None` on the classic loop.
+    bucket: Option<&'a BucketSched<P::Message>>,
 }
 
 fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
@@ -1374,40 +1408,130 @@ fn capture_checkpoint<V: Clone, M: Clone>(
 
 use cyclops_net::{priority_key as okey, priority_key_inv as okey_inv, IMMEDIATE_KEY as IMMEDIATE};
 
-/// Leader-owned state of the bucketed scheduler.
+/// One worker's share of the bucketed scheduler.
 ///
-/// Only the global leader (worker 0, thread 0) ever touches it: the whole
-/// bucket settle runs sequentially between a superstep's two hierarchical
-/// barrier waits while every other thread sleeps at the second wait. That
-/// trades the compute parallelism of one superstep — negligible on these
-/// near-empty high-diameter supersteps — for a superstep (and barrier)
-/// count of ~one per nonempty bucket instead of one per hop.
-struct BucketSched<M> {
-    /// Per worker: local indices of parked/pending activations.
-    pending: Vec<Vec<u32>>,
-    /// Per worker, per master: whether the vertex is in `pending`.
-    marked: Vec<Vec<bool>>,
-    /// Per worker, per master: ordered-key activation priority. Valid only
-    /// while marked; re-marks fold with `min`.
-    prio: Vec<Vec<u64>>,
-    /// Per worker, per master: superstep generation of the last selection —
-    /// counts distinct bucket occupancy without a per-superstep reset pass.
-    sel_gen: Vec<Vec<u64>>,
-    /// Per worker, per master: round generation of the last publication —
-    /// dedups the round's dirty list so each mirror is sent exactly one
-    /// update per round even when fast-mode chaining republished a master.
-    dirty_gen: Vec<Vec<u64>>,
+/// Settle thread `p` owns every worker `w ≡ p (mod P)` and is the only
+/// thread that touches this state during the fused rounds; the global
+/// leader reads every worker's state at checkpoint capture and in the
+/// superstep epilogue, each time behind a barrier. The mutex is therefore
+/// never contended — it only carries the hand-off between threads.
+struct WorkerBucket<M> {
+    /// Local indices of parked/pending activations.
+    pending: Vec<u32>,
+    /// Per master: whether the vertex is in `pending`.
+    marked: Vec<bool>,
+    /// Per master: ordered-key activation priority. Valid only while
+    /// marked; re-marks fold with `min`.
+    prio: Vec<u64>,
+    /// Per master: superstep generation of the last selection — counts
+    /// distinct bucket occupancy without a per-superstep reset pass.
+    sel_gen: Vec<u64>,
+    /// Per master: round generation of the last publication — dedups the
+    /// round's dirty list so each mirror is sent exactly one update per
+    /// round even when fast-mode chaining republished a master.
+    dirty_gen: Vec<u64>,
+    /// Scratch: the current fused round's selection.
+    selected: Vec<u32>,
     /// Scratch: masters that published this round (per-round dirty list).
     dirty: Vec<u32>,
-    /// Scratch: the current fused round's selection, per worker.
-    selected: Vec<Vec<u32>>,
+    /// Scratch: masters whose publication changed this pass.
+    updated: Vec<u32>,
     /// Scratch: per-destination replica-update outboxes, reused per round.
     outboxes: Vec<Vec<ReplicaUpdate<M>>>,
-    /// Scratch: per-destination direct-message outboxes (hybrid replication),
-    /// reused per round.
+    /// Scratch: per-destination direct-message outboxes (hybrid
+    /// replication), reused per round.
     direct_outboxes: Vec<Vec<DirectMessage<M>>>,
-    /// Scratch: masters whose publication changed this round.
-    updated: Vec<u32>,
+    // This superstep's trace accumulators, reset at every settle start.
+    drained: u64,
+    occupancy: u64,
+    computed: usize,
+    conv_delta: isize,
+    partial: ChunkPartial,
+    times: PhaseTimes,
+    hot: Option<cyclops_net::trace::SpaceSaving>,
+}
+
+impl<M> WorkerBucket<M> {
+    /// Seeds from the worker's initial (or checkpoint-restored) frontier marks;
+    /// their priorities are unknown, so they are due immediately.
+    fn new<V>(ws: &WorkerShared<V, M>, start_parity: usize, num_workers: usize) -> Self {
+        let n = ws.values.len();
+        let mut b = WorkerBucket {
+            pending: Vec::new(),
+            marked: vec![false; n],
+            prio: vec![0; n],
+            sel_gen: vec![0; n],
+            dirty_gen: vec![0; n],
+            selected: Vec::new(),
+            dirty: Vec::new(),
+            updated: Vec::new(),
+            outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
+            direct_outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
+            drained: 0,
+            occupancy: 0,
+            computed: 0,
+            conv_delta: 0,
+            partial: ChunkPartial::default(),
+            times: PhaseTimes::default(),
+            hot: None,
+        };
+        for li in 0..n {
+            if ws.frontier.is_marked(start_parity, li) {
+                b.mark(li, IMMEDIATE);
+            }
+        }
+        b
+    }
+
+    /// Clears the per-superstep accumulators.
+    fn begin_superstep(&mut self, hot_k: usize) {
+        self.drained = 0;
+        self.occupancy = 0;
+        self.computed = 0;
+        self.conv_delta = 0;
+        self.partial = ChunkPartial::default();
+        self.times = PhaseTimes::default();
+        self.hot = (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k));
+    }
+
+    /// Parks an activation of local master `li` at priority `key`
+    /// (re-activations keep the smaller key).
+    fn mark(&mut self, li: usize, key: u64) {
+        if self.marked[li] {
+            let p = &mut self.prio[li];
+            if key < *p {
+                *p = key;
+            }
+        } else {
+            self.marked[li] = true;
+            self.prio[li] = key;
+            self.pending.push(li as u32);
+        }
+    }
+
+    /// Moves the due activations (priority below `end_key`) out of the
+    /// pending list into `sel`, in place; parked vertices stay pending.
+    fn select(&mut self, end_key: u64, sel: &mut Vec<u32>) {
+        let mut keep = 0;
+        for i in 0..self.pending.len() {
+            let li = self.pending[i];
+            if self.prio[li as usize] < end_key {
+                self.marked[li as usize] = false;
+                sel.push(li);
+            } else {
+                self.pending[keep] = li;
+                keep += 1;
+            }
+        }
+        self.pending.truncate(keep);
+    }
+}
+
+/// Run-wide part of the bucketed scheduler. Written only by the global
+/// leader in the superstep epilogue; every settle thread copies it at the
+/// start of a settle and advances its copy's round counters in lockstep.
+#[derive(Clone, Copy)]
+struct BucketGlobal {
     /// Index of the bucket the current superstep drains.
     bucket: u64,
     /// Live bucket width. Seeded from `config.bucket_width`; when
@@ -1429,108 +1553,103 @@ struct BucketSched<M> {
     rounds_total: usize,
 }
 
+/// State of the bucketed (delta-stepping) scheduler.
+///
+/// The settle runs on `P = min(nproc, W)` *settle threads* — the leader
+/// threads of workers `0..P` — between a superstep's two hierarchical
+/// barrier waits, while every other thread sleeps at the second wait.
+/// Settle thread `p` processes its workers `w ≡ p (mod P)` in increasing
+/// `w`. Each fused round is two barriers among the settle threads: drain
+/// and select, add the selection count to `round_selected`, wait; read the
+/// frozen total (0 ends the bucket on every thread at once, since then no
+/// thread sends), compute and send, wait. Results are bitwise identical at
+/// every `P`: per-worker state is disjoint, sender lanes are per worker,
+/// drains concatenate lanes in sender order and counters are atomic sums.
+struct BucketSched<M> {
+    /// Per-worker state, indexed by worker.
+    workers: Vec<Mutex<WorkerBucket<M>>>,
+    global: Mutex<BucketGlobal>,
+    /// Number of settle threads `P`.
+    settle_threads: usize,
+    /// Vertices selected in the current fused round, summed over workers;
+    /// indexed by the round's transport-epoch parity so one round's count
+    /// can be reset while the other's is still being read.
+    round_selected: [AtomicUsize; 2],
+    /// The two per-round waits (and the post-capture wait) among the settle
+    /// threads.
+    round_barrier: Barrier,
+}
+
 impl<M> BucketSched<M> {
-    fn new<V>(shared: &[WorkerShared<V, M>], start_parity: usize, delta: f64) -> Self {
+    fn new<V>(
+        shared: &[WorkerShared<V, M>],
+        start_parity: usize,
+        delta: f64,
+        settle_threads: usize,
+    ) -> Self {
         let num_workers = shared.len();
-        let mut s = BucketSched {
-            pending: (0..num_workers).map(|_| Vec::new()).collect(),
-            marked: shared
+        BucketSched {
+            workers: shared
                 .iter()
-                .map(|ws| vec![false; ws.values.len()])
+                .enumerate()
+                .map(|(w, ws)| {
+                    let _mem = MemScope::worker(w);
+                    Mutex::new(WorkerBucket::new(ws, start_parity, num_workers))
+                })
                 .collect(),
-            prio: shared
-                .iter()
-                .map(|ws| vec![0u64; ws.values.len()])
-                .collect(),
-            sel_gen: shared
-                .iter()
-                .map(|ws| vec![0u64; ws.values.len()])
-                .collect(),
-            dirty_gen: shared
-                .iter()
-                .map(|ws| vec![0u64; ws.values.len()])
-                .collect(),
-            dirty: Vec::new(),
-            selected: (0..num_workers).map(|_| Vec::new()).collect(),
-            outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
-            direct_outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
-            updated: Vec::new(),
-            bucket: 0,
-            delta,
-            delta0: delta,
-            occ_sum: 0,
-            occ_count: 0,
-            epoch: 0,
-            rounds_total: 0,
-        };
-        // Seed from the initial (or checkpoint-restored) frontier marks;
-        // their priorities are unknown, so they are due immediately.
-        for (w, ws) in shared.iter().enumerate() {
-            for li in 0..ws.values.len() {
-                if ws.frontier.is_marked(start_parity, li) {
-                    s.mark(w, li, IMMEDIATE);
-                }
-            }
+            global: Mutex::new(BucketGlobal {
+                bucket: 0,
+                delta,
+                delta0: delta,
+                occ_sum: 0,
+                occ_count: 0,
+                epoch: 0,
+                rounds_total: 0,
+            }),
+            settle_threads,
+            round_selected: [AtomicUsize::new(0), AtomicUsize::new(0)],
+            round_barrier: Barrier::new(settle_threads),
         }
-        s
-    }
-
-    /// Parks an activation of worker `w`'s local master `li` at priority
-    /// `key` (re-activations keep the smaller key).
-    fn mark(&mut self, w: usize, li: usize, key: u64) {
-        if self.marked[w][li] {
-            let p = &mut self.prio[w][li];
-            if key < *p {
-                *p = key;
-            }
-        } else {
-            self.marked[w][li] = true;
-            self.prio[w][li] = key;
-            self.pending[w].push(li as u32);
-        }
-    }
-
-    /// Moves worker `w`'s due activations (priority below `end_key`) out of
-    /// its pending list into `sel`, in place; parked vertices stay pending.
-    fn select(&mut self, w: usize, end_key: u64, sel: &mut Vec<u32>) {
-        let prio = &self.prio[w];
-        let marked = &mut self.marked[w];
-        let pending = &mut self.pending[w];
-        let mut keep = 0;
-        for i in 0..pending.len() {
-            let li = pending[i];
-            if prio[li as usize] < end_key {
-                marked[li as usize] = false;
-                sel.push(li);
-            } else {
-                pending[keep] = li;
-                keep += 1;
-            }
-        }
-        pending.truncate(keep);
     }
 }
 
 /// Thread body of a bucketed run. Every thread still meets the two
 /// hierarchical barrier waits per superstep — so barrier-protocol
-/// accounting stays comparable with the classic loop — but all settle work
-/// happens on the global leader between them.
+/// accounting stays comparable with the classic loop — and the leader
+/// threads of workers `0..P` run the settle between them (see
+/// [`BucketSched`]); the global leader then closes the superstep.
 fn bucketed_thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
-    let is_leader = env.w == 0 && env.t == 0;
-    let mut sched = is_leader
-        .then(|| BucketSched::new(env.shared, env.start_superstep & 1, env.config.bucket_width));
+    let sched = env
+        .bucket
+        .expect("a bucketed run builds its scheduler before spawning threads");
+    let settle_thread = (env.t == 0 && env.w < sched.settle_threads).then_some(env.w);
     let flight = cyclops_obs::flight().map(|fr| fr.ring(env.w as u32, env.t as u32));
     // Worker-slot tag for the tracking allocator (see `thread_loop`).
     let _mem_tag = cyclops_obs::mem::MemScope::worker(env.w);
     let mut superstep = env.start_superstep;
     loop {
-        env.barrier
-            .wait_traced(env.w, env.t, flight.as_deref(), superstep as u64);
-        if let Some(sched) = sched.as_mut() {
-            settle_bucket(&env, sched, superstep, flight.as_deref());
+        let first_start = flight.as_deref().map(|r| r.now_ns());
+        env.barrier.wait(env.w, env.t);
+        let first_end = flight.as_deref().map(|r| r.now_ns());
+        if let Some(p) = settle_thread {
+            settle_bucket(&env, sched, p, superstep, flight.as_deref());
         }
         env.barrier
             .wait_traced(env.w, env.t, flight.as_deref(), superstep as u64);
+        // The settle records send spans into each worker's thread-0 ring
+        // while that thread sleeps at the second wait, and a span ring
+        // takes one writer at a time — so the first wait's span is only
+        // pushed now that the settle is over.
+        if let (Some(r), Some(start), Some(end)) = (flight.as_deref(), first_start, first_end) {
+            r.push(cyclops_obs::SpanEvent {
+                kind: SpanKind::Barrier,
+                start_ns: start,
+                dur_ns: end - start,
+                a: superstep as u64,
+                b: 0,
+                c: 0,
+            });
+        }
         if env.stop.load(Ordering::Acquire) {
             return;
         }
@@ -1538,26 +1657,45 @@ fn bucketed_thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
     }
 }
 
-/// One bucketed superstep, run by the global leader alone: drain the
-/// current bucket to a fixpoint (fused relaxation rounds), then do the
-/// whole-superstep bookkeeping the classic loop's leader does at SYN.
+/// Per-superstep constants of one settle, shared by its round helpers.
+struct SettleCtx {
+    superstep: usize,
+    /// Exclusive upper priority key of the bucket being drained.
+    end_key: u64,
+    /// Selection generation (occupancy dedup) of this superstep.
+    gen: u64,
+    fast_mode: bool,
+    hybrid: bool,
+    agg_in: Option<AggregateStats>,
+    capture_values: bool,
+}
+
+/// One bucketed superstep on settle thread `p`: drain the current bucket
+/// to a fixpoint through fused relaxation rounds over this thread's
+/// workers, in lockstep with the other settle threads; the global leader
+/// (`p == 0`) then does the whole-superstep bookkeeping the classic loop's
+/// leader does at SYN.
 fn settle_bucket<P: CyclopsProgram>(
     env: &ThreadEnv<'_, P>,
-    sched: &mut BucketSched<P::Message>,
+    sched: &BucketSched<P::Message>,
+    p: usize,
     superstep: usize,
     ring: Option<&SpanRing>,
 ) {
     let settle_start = Instant::now();
     let num_workers = env.plan.workers.len();
-    let hybrid = env.plan.workers.iter().any(|p| p.num_direct_slots() > 0);
-    let delta = sched.delta;
-    let fast_mode = env.config.bucket_mode == BucketMode::Fast;
-    let bucket = sched.bucket;
-    let end_key = okey((bucket + 1) as f64 * delta);
-    let agg_in = *env.prev_aggregate.lock();
-    let capture_values = env.trace.map(|s| s.captures_values()).unwrap_or(false);
+    let mine = || (p..num_workers).step_by(sched.settle_threads);
+    let mut global = *sched.global.lock();
+    let cx = SettleCtx {
+        superstep,
+        end_key: okey((global.bucket + 1) as f64 * global.delta),
+        gen: superstep as u64 + 1,
+        fast_mode: env.config.bucket_mode == BucketMode::Fast,
+        hybrid: env.plan.workers.iter().any(|wp| wp.num_direct_slots() > 0),
+        agg_in: *env.prev_aggregate.lock(),
+        capture_values: env.trace.map(|s| s.captures_values()).unwrap_or(false),
+    };
     let hot_k = env.trace.map(|s| s.hot_k()).unwrap_or(0);
-    let gen = superstep as u64 + 1;
 
     // Value-only checkpoint on the bucket boundary: the previous settle's
     // final drain applied every in-flight update, so the transport is empty
@@ -1574,30 +1712,29 @@ fn settle_bucket<P: CyclopsProgram>(
         None => false,
     };
     if checkpoint_now {
-        for w in 0..num_workers {
-            let marked = &sched.marked[w];
-            capture_checkpoint(
-                env.checkpoints,
-                &env.plan.workers[w],
-                &env.shared[w],
-                superstep,
-                env.config.checkpoint_every,
-                |li| marked[li],
-                agg_in,
-            );
+        if p == 0 {
+            for w in 0..num_workers {
+                let wb = sched.workers[w].lock();
+                capture_checkpoint(
+                    env.checkpoints,
+                    &env.plan.workers[w],
+                    &env.shared[w],
+                    superstep,
+                    env.config.checkpoint_every,
+                    |li| wb.marked[li],
+                    cx.agg_in,
+                );
+            }
         }
+        // No settle thread may drain (and re-mark) before the capture has
+        // read every worker's pending flags.
+        sched.round_barrier.wait();
+    }
+    for w in mine() {
+        let _mem = MemScope::worker(w);
+        sched.workers[w].lock().begin_superstep(hot_k);
     }
 
-    // Per-worker accumulators for this superstep's trace records.
-    let mut drained = vec![0u64; num_workers];
-    let mut occupancy = vec![0u64; num_workers];
-    let mut computed = vec![0usize; num_workers];
-    let mut conv_delta = vec![0isize; num_workers];
-    let mut partials: Vec<ChunkPartial> = vec![ChunkPartial::default(); num_workers];
-    let mut times: Vec<PhaseTimes> = vec![PhaseTimes::default(); num_workers];
-    let mut hot: Vec<Option<cyclops_net::trace::SpaceSaving>> = (0..num_workers)
-        .map(|_| (hot_k > 0).then(|| cyclops_net::trace::SpaceSaving::new(hot_k)))
-        .collect();
     let mut digest_buf = bytes::BytesMut::new();
     let mut rounds = 0u64;
     let mut budget_exhausted = false;
@@ -1608,279 +1745,342 @@ fn settle_bucket<P: CyclopsProgram>(
         // A program that keeps re-activating (which the classic loop would
         // cut off at its superstep cap) must not spin the drain forever:
         // stop once the run has spent as many fused rounds as the classic
-        // loop would have been allowed barrier rounds.
-        if sched.rounds_total >= env.config.max_supersteps {
+        // loop would have been allowed barrier rounds. Every settle thread
+        // holds the same count, so all of them stop here together.
+        if global.rounds_total >= env.config.max_supersteps {
             budget_exhausted = true;
             break;
         }
-        // Phase A: drain inbound sync messages and apply them to replicas,
-        // every worker in worker order; activations park at the priority
-        // their payload proposes.
-        for w in 0..num_workers {
-            let ws = &env.shared[w];
-            let wp = &env.plan.workers[w];
-            let t0 = Instant::now();
-            ws.rep_msg.begin_epoch();
-            let batch = env.transport.drain(w, sched.epoch);
-            drained[w] += batch.len() as u64;
-            for upd in batch {
-                let key = env
-                    .program
-                    .priority(&upd.payload)
-                    .map(okey)
-                    .unwrap_or(IMMEDIATE);
-                let rep = upd.replica as usize;
-                // SAFETY: the settle is sequential and the epoch is fresh —
-                // one writer, at most one write per replica per round.
-                unsafe { ws.rep_msg.write(rep, Some(upd.payload)) };
-                if upd.activate {
-                    for &lo in wp.rep_out(rep) {
-                        sched.mark(w, lo as usize, key);
-                    }
-                }
-            }
-            if hybrid {
-                ws.direct_msg.begin_epoch();
-                let batch = env.direct_transport.drain(w, sched.epoch);
-                drained[w] += batch.len() as u64;
-                for dm in batch {
-                    let key = env
-                        .program
-                        .priority(&dm.payload)
-                        .map(okey)
-                        .unwrap_or(IMMEDIATE);
-                    let slot = dm.slot as usize;
-                    // SAFETY: sequential settle, fresh epoch, and the dirty
-                    // list dedup sends at most one message per slot per round.
-                    unsafe { ws.direct_msg.write(slot, Some(dm.payload)) };
-                    if dm.activate {
-                        sched.mark(w, wp.direct_target[slot] as usize, key);
-                    }
-                }
-            }
-            times[w].add(Phase::Parse, t0.elapsed());
+        let parity = global.epoch & 1;
+        let mut selected = 0;
+        for w in mine() {
+            let _mem = MemScope::worker(w);
+            selected += drain_and_select(env, &mut sched.workers[w].lock(), w, &cx, global.epoch);
         }
-
-        // Phase B: select this round's due vertices per worker.
-        let mut selected = std::mem::take(&mut sched.selected);
-        let mut total_selected = 0usize;
-        for (w, sel) in selected.iter_mut().enumerate() {
-            sel.clear();
-            sched.select(w, end_key, sel);
-            if !fast_mode {
-                // Deterministic drain (and float-reduction) order.
-                sel.sort_unstable();
-            }
-            total_selected += sel.len();
+        sched.round_selected[parity].fetch_add(selected, Ordering::Relaxed);
+        sched.round_barrier.wait();
+        // Every settle thread reads the same frozen total. The other
+        // parity's slot was last read before the previous round's second
+        // wait and is next written after this round's, so it resets here.
+        let total_selected = sched.round_selected[parity].load(Ordering::Relaxed);
+        if p == 0 {
+            sched.round_selected[parity ^ 1].store(0, Ordering::Relaxed);
         }
+        // With nothing selected anywhere no thread sends this round, so the
+        // transports cannot change under this check on any thread.
         if total_selected == 0 && env.transport.all_empty() && env.direct_transport.all_empty() {
-            sched.selected = selected;
             break;
         }
         rounds += 1;
-        sched.rounds_total += 1;
+        global.rounds_total += 1;
         // Each fused round is one logical superstep of relaxation; the
         // program only ever sees the run's very first pass as superstep 0,
         // so kick-off branches (`ctx.superstep() == 0`) fire exactly once
         // even when the first bucket needs several rounds — or when a
         // self-loop re-selects an initially active vertex.
-        let kickoff_round = superstep == 0 && sched.rounds_total == 1;
-
-        // Phase C+D: compute each worker's selection against the immutable
-        // view, publish, and send one sync batch per destination. In fast
-        // mode, newly due same-worker activations chain into extra passes
-        // of the same round instead of waiting for the next one.
-        for w in 0..num_workers {
-            let ws = &env.shared[w];
-            let wp = &env.plan.workers[w];
-            let mut outboxes = std::mem::take(&mut sched.outboxes);
-            let mut direct_outboxes = std::mem::take(&mut sched.direct_outboxes);
-            let mut updated = std::mem::take(&mut sched.updated);
-            let mut dirty = std::mem::take(&mut sched.dirty);
-            // Round generation for the dirty-list dedup: the transport epoch
-            // is unique per round and never reset.
-            let rgen = sched.epoch as u64 + 1;
-            let sel = &mut selected[w];
-            let t_cmp = Instant::now();
-            let mut pass_superstep = if kickoff_round { 0 } else { superstep.max(1) };
-            loop {
-                ws.values.begin_epoch();
-                ws.msg_cur.begin_epoch();
-                ws.msg_next.begin_epoch();
-                updated.clear();
-                for &li in sel.iter() {
-                    let li = li as usize;
-                    computed[w] += 1;
-                    if sched.sel_gen[w][li] != gen {
-                        sched.sel_gen[w][li] = gen;
-                        occupancy[w] += 1;
-                    }
-                    if let Some(hs) = hot[w].as_mut() {
-                        hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
-                    }
-                    let mut publish: Option<P::Message> = None;
-                    let mut reported: Option<f64> = None;
-                    {
-                        // SAFETY: `sel` is duplicate-free (mark/select keep
-                        // set semantics) and the settle is sequential.
-                        let value = unsafe { ws.values.get_mut(li) };
-                        let mut ctx = CyclopsContext {
-                            vertex: wp.masters[li],
-                            local: li,
-                            superstep: pass_superstep,
-                            graph: env.graph,
-                            plan: wp,
-                            value,
-                            msg_cur: &ws.msg_cur,
-                            rep_msg: &ws.rep_msg,
-                            direct_msg: &ws.direct_msg,
-                            publish: &mut publish,
-                            reported_error: &mut reported,
-                            aggregate: &mut partials[w].agg,
-                            prev_aggregate: agg_in,
-                        };
-                        env.program.compute(&mut ctx);
-                    }
-                    if let Some(err) = reported {
-                        partials[w].err_sum += err;
-                        partials[w].err_count += 1;
-                        if let Convergence::Proportion { epsilon, .. } = env.config.convergence {
-                            let now = err <= epsilon;
-                            let was = ws.converged[li].swap(now, Ordering::Relaxed);
-                            conv_delta[w] += now as isize - was as isize;
-                        }
-                    }
-                    if let Some(m) = publish {
-                        if capture_values {
-                            if let Some(trace) = env.trace {
-                                digest_buf.clear();
-                                m.encode(&mut digest_buf);
-                                trace
-                                    .worker(w)
-                                    .record_publication(wp.masters[li], digest_bytes(&digest_buf));
-                            }
-                        }
-                        let key = env.program.priority(&m).map(okey).unwrap_or(IMMEDIATE);
-                        // SAFETY: one write per master per epoch (per pass).
-                        unsafe { ws.msg_next.write(li, Some(m)) };
-                        updated.push(li as u32);
-                        for &lo in wp.local_out(li) {
-                            sched.mark(w, lo as usize, key);
-                        }
-                        if sched.dirty_gen[w][li] != rgen {
-                            sched.dirty_gen[w][li] = rgen;
-                            dirty.push(li as u32);
-                        }
-                    }
-                }
-                // Publish this pass's updates so the next round — or, in
-                // fast mode, the next chained pass — reads them.
-                for &li in &updated {
-                    let li = li as usize;
-                    let m = ws.msg_next.read(li).clone();
-                    // SAFETY: sequential; fresh epoch began this pass.
-                    unsafe { ws.msg_cur.write(li, m) };
-                }
-                if !fast_mode {
-                    break;
-                }
-                sel.clear();
-                sched.select(w, end_key, sel);
-                if sel.is_empty() {
-                    break;
-                }
-                // A chained pass is a later logical superstep.
-                pass_superstep = superstep.max(1);
-            }
-            // Sync each dirty master's *final* publication to its mirrors —
-            // exactly one update per replica per round, preserving the §3.4
-            // at-most-one-message invariant even when fast-mode chaining
-            // republished a master several times within the round (that
-            // collapse is delta-stepping's message saving).
-            for &li in &dirty {
-                let li = li as usize;
-                if let Some(m) = ws.msg_cur.read(li) {
-                    for &(mw, rep_idx) in wp.mirrors(li) {
-                        outboxes[mw as usize].push(ReplicaUpdate::new(rep_idx, m.clone(), true));
-                    }
-                    if hybrid {
-                        for &(dw, slot) in wp.direct_out(li) {
-                            direct_outboxes[dw as usize].push(DirectMessage::new(
-                                slot,
-                                m.clone(),
-                                true,
-                            ));
-                        }
-                    }
-                }
-            }
-            dirty.clear();
-            times[w].add(Phase::Compute, t_cmp.elapsed());
-            let t_snd = Instant::now();
-            let lane = w * env.threads;
-            for (dest, batch) in outboxes.iter_mut().enumerate() {
-                if !batch.is_empty() {
-                    let sent = batch.len();
-                    let receipt =
-                        env.transport
-                            .send(lane, dest, std::mem::take(batch), sched.epoch);
-                    if let Some(trace) = env.trace {
-                        let tr = trace.worker(w);
-                        tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                        record_wire_mode(tr, dest, receipt);
-                    }
-                }
-            }
-            if hybrid {
-                for (dest, batch) in direct_outboxes.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        let sent = batch.len();
-                        let receipt = env.direct_transport.send(
-                            lane,
-                            dest,
-                            std::mem::take(batch),
-                            sched.epoch,
-                        );
-                        if let Some(trace) = env.trace {
-                            let tr = trace.worker(w);
-                            tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                            tr.add_direct(sent as u64, receipt.bytes as u64);
-                            record_wire_mode(tr, dest, receipt);
-                        }
-                    }
-                }
-            }
-            times[w].add(Phase::Send, t_snd.elapsed());
-            sched.outboxes = outboxes;
-            sched.direct_outboxes = direct_outboxes;
-            sched.updated = updated;
-            sched.dirty = dirty;
+        let kickoff_round = superstep == 0 && global.rounds_total == 1;
+        for w in mine() {
+            let _mem = MemScope::worker(w);
+            compute_and_send(
+                env,
+                &mut sched.workers[w].lock(),
+                w,
+                &cx,
+                global.epoch,
+                kickoff_round,
+                &mut digest_buf,
+            );
         }
-        sched.selected = selected;
-        sched.epoch += 1;
+        global.epoch += 1;
+        sched.round_barrier.wait();
         if let (Some(r), Some(start)) = (ring, round_span) {
             r.record(
                 SpanKind::Round,
                 start,
-                bucket,
+                global.bucket,
                 rounds,
                 total_selected as u64,
             );
         }
     }
+    if p == 0 {
+        finish_bucket_superstep(
+            env,
+            sched,
+            global,
+            superstep,
+            rounds,
+            budget_exhausted,
+            checkpoint_now,
+            settle_start,
+        );
+    }
+}
 
-    // ---- Superstep epilogue: the classic loop's leader bookkeeping. ----
-    let total_computed: usize = computed.iter().sum();
-    let delta_conv: isize = conv_delta.iter().sum();
+/// Phases A+B of a fused round for worker `w`: drain inbound sync
+/// messages and apply them to replicas (activations park at the priority
+/// their payload proposes), then select the worker's due vertices.
+/// Returns the selection size.
+fn drain_and_select<P: CyclopsProgram>(
+    env: &ThreadEnv<'_, P>,
+    wb: &mut WorkerBucket<P::Message>,
+    w: usize,
+    cx: &SettleCtx,
+    epoch: usize,
+) -> usize {
+    let ws = &env.shared[w];
+    let wp = &env.plan.workers[w];
+    let t0 = Instant::now();
+    ws.rep_msg.begin_epoch();
+    let batch = env.transport.drain(w, epoch);
+    wb.drained += batch.len() as u64;
+    for upd in batch {
+        let key = env
+            .program
+            .priority(&upd.payload)
+            .map(okey)
+            .unwrap_or(IMMEDIATE);
+        let rep = upd.replica as usize;
+        // SAFETY: this settle thread alone owns worker `w` and the epoch is
+        // fresh — one writer, at most one write per replica per round.
+        unsafe { ws.rep_msg.write(rep, Some(upd.payload)) };
+        if upd.activate {
+            for &lo in wp.rep_out(rep) {
+                wb.mark(lo as usize, key);
+            }
+        }
+    }
+    if cx.hybrid {
+        ws.direct_msg.begin_epoch();
+        let batch = env.direct_transport.drain(w, epoch);
+        wb.drained += batch.len() as u64;
+        for dm in batch {
+            let key = env
+                .program
+                .priority(&dm.payload)
+                .map(okey)
+                .unwrap_or(IMMEDIATE);
+            let slot = dm.slot as usize;
+            // SAFETY: single owner, fresh epoch, and the dirty-list dedup
+            // sends at most one message per slot per round.
+            unsafe { ws.direct_msg.write(slot, Some(dm.payload)) };
+            if dm.activate {
+                wb.mark(wp.direct_target[slot] as usize, key);
+            }
+        }
+    }
+    let mut sel = std::mem::take(&mut wb.selected);
+    sel.clear();
+    wb.select(cx.end_key, &mut sel);
+    if !cx.fast_mode {
+        // Deterministic drain (and float-reduction) order.
+        sel.sort_unstable();
+    }
+    let selected = sel.len();
+    wb.selected = sel;
+    wb.times.add(Phase::Parse, t0.elapsed());
+    selected
+}
+
+/// Phases C+D of a fused round for worker `w`: compute the selection
+/// against the immutable view, publish, and send one sync batch per
+/// destination. In fast mode, newly due same-worker activations chain
+/// into extra passes of the same round instead of waiting for the next
+/// one.
+fn compute_and_send<P: CyclopsProgram>(
+    env: &ThreadEnv<'_, P>,
+    wb: &mut WorkerBucket<P::Message>,
+    w: usize,
+    cx: &SettleCtx,
+    epoch: usize,
+    kickoff_round: bool,
+    digest_buf: &mut bytes::BytesMut,
+) {
+    let ws = &env.shared[w];
+    let wp = &env.plan.workers[w];
+    // Round generation for the dirty-list dedup: the transport epoch is
+    // unique per round and never reset.
+    let rgen = epoch as u64 + 1;
+    let t_cmp = Instant::now();
+    let mut pass_superstep = if kickoff_round {
+        0
+    } else {
+        cx.superstep.max(1)
+    };
+    let mut selected = std::mem::take(&mut wb.selected);
+    let mut updated = std::mem::take(&mut wb.updated);
+    loop {
+        ws.values.begin_epoch();
+        ws.msg_cur.begin_epoch();
+        ws.msg_next.begin_epoch();
+        updated.clear();
+        for &li in &selected {
+            let li = li as usize;
+            wb.computed += 1;
+            if wb.sel_gen[li] != cx.gen {
+                wb.sel_gen[li] = cx.gen;
+                wb.occupancy += 1;
+            }
+            if let Some(hs) = wb.hot.as_mut() {
+                hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
+            }
+            let mut publish: Option<P::Message> = None;
+            let mut reported: Option<f64> = None;
+            {
+                // SAFETY: the selection is duplicate-free (mark/select keep
+                // set semantics) and this thread alone owns worker `w`.
+                let value = unsafe { ws.values.get_mut(li) };
+                let mut ctx = CyclopsContext {
+                    vertex: wp.masters[li],
+                    local: li,
+                    superstep: pass_superstep,
+                    graph: env.graph,
+                    plan: wp,
+                    value,
+                    msg_cur: &ws.msg_cur,
+                    rep_msg: &ws.rep_msg,
+                    direct_msg: &ws.direct_msg,
+                    publish: &mut publish,
+                    reported_error: &mut reported,
+                    aggregate: &mut wb.partial.agg,
+                    prev_aggregate: cx.agg_in,
+                };
+                env.program.compute(&mut ctx);
+            }
+            if let Some(err) = reported {
+                wb.partial.err_sum += err;
+                wb.partial.err_count += 1;
+                if let Convergence::Proportion { epsilon, .. } = env.config.convergence {
+                    let now = err <= epsilon;
+                    let was = ws.converged[li].swap(now, Ordering::Relaxed);
+                    wb.conv_delta += now as isize - was as isize;
+                }
+            }
+            if let Some(m) = publish {
+                if cx.capture_values {
+                    if let Some(trace) = env.trace {
+                        digest_buf.clear();
+                        m.encode(digest_buf);
+                        trace
+                            .worker(w)
+                            .record_publication(wp.masters[li], digest_bytes(digest_buf));
+                    }
+                }
+                let key = env.program.priority(&m).map(okey).unwrap_or(IMMEDIATE);
+                // SAFETY: one write per master per epoch (per pass).
+                unsafe { ws.msg_next.write(li, Some(m)) };
+                updated.push(li as u32);
+                for &lo in wp.local_out(li) {
+                    wb.mark(lo as usize, key);
+                }
+                if wb.dirty_gen[li] != rgen {
+                    wb.dirty_gen[li] = rgen;
+                    wb.dirty.push(li as u32);
+                }
+            }
+        }
+        // Publish this pass's updates so the next round — or, in fast mode,
+        // the next chained pass — reads them.
+        for &li in &updated {
+            let li = li as usize;
+            let m = ws.msg_next.read(li).clone();
+            // SAFETY: single owner; fresh epoch began this pass.
+            unsafe { ws.msg_cur.write(li, m) };
+        }
+        if !cx.fast_mode {
+            break;
+        }
+        selected.clear();
+        wb.select(cx.end_key, &mut selected);
+        if selected.is_empty() {
+            break;
+        }
+        // A chained pass is a later logical superstep.
+        pass_superstep = cx.superstep.max(1);
+    }
+    wb.selected = selected;
+    wb.updated = updated;
+    // Sync each dirty master's *final* publication to its mirrors — exactly
+    // one update per replica per round, preserving the §3.4
+    // at-most-one-message invariant even when fast-mode chaining
+    // republished a master several times within the round (that collapse is
+    // delta-stepping's message saving). Outbox growth is send-pool memory,
+    // like the classic loop's pre-built outboxes.
+    let outbox_mem = MemScope::enter(Component::SendPool);
+    for &li in &wb.dirty {
+        let li = li as usize;
+        if let Some(m) = ws.msg_cur.read(li) {
+            for &(mw, rep_idx) in wp.mirrors(li) {
+                wb.outboxes[mw as usize].push(ReplicaUpdate::new(rep_idx, m.clone(), true));
+            }
+            if cx.hybrid {
+                for &(dw, slot) in wp.direct_out(li) {
+                    wb.direct_outboxes[dw as usize].push(DirectMessage::new(slot, m.clone(), true));
+                }
+            }
+        }
+    }
+    drop(outbox_mem);
+    wb.dirty.clear();
+    wb.times.add(Phase::Compute, t_cmp.elapsed());
+    let t_snd = Instant::now();
+    let lane = w * env.threads;
+    for (dest, batch) in wb.outboxes.iter_mut().enumerate() {
+        if !batch.is_empty() {
+            let sent = batch.len();
+            let receipt = env.transport.send(lane, dest, std::mem::take(batch), epoch);
+            if let Some(trace) = env.trace {
+                let tr = trace.worker(w);
+                tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
+                record_wire_mode(tr, dest, receipt);
+            }
+        }
+    }
+    if cx.hybrid {
+        for (dest, batch) in wb.direct_outboxes.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                let sent = batch.len();
+                let receipt = env
+                    .direct_transport
+                    .send(lane, dest, std::mem::take(batch), epoch);
+                if let Some(trace) = env.trace {
+                    let tr = trace.worker(w);
+                    tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
+                    tr.add_direct(sent as u64, receipt.bytes as u64);
+                    record_wire_mode(tr, dest, receipt);
+                }
+            }
+        }
+    }
+    wb.times.add(Phase::Send, t_snd.elapsed());
+}
+
+/// The bucketed superstep epilogue, on the global leader once every settle
+/// thread has left the round loop: reductions in worker order, trace
+/// commits, termination, bucket advance and Δ retune.
+#[allow(clippy::too_many_arguments)]
+fn finish_bucket_superstep<P: CyclopsProgram>(
+    env: &ThreadEnv<'_, P>,
+    sched: &BucketSched<P::Message>,
+    mut global: BucketGlobal,
+    superstep: usize,
+    rounds: u64,
+    budget_exhausted: bool,
+    checkpoint_now: bool,
+    settle_start: Instant,
+) {
+    let mut workers: Vec<_> = sched.workers.iter().map(|m| m.lock()).collect();
+    let total_computed: usize = workers.iter().map(|wb| wb.computed).sum();
+    let delta_conv: isize = workers.iter().map(|wb| wb.conv_delta).sum();
     let conv_total = env.converged_total.fetch_add(delta_conv, Ordering::Relaxed) + delta_conv;
-    // Two-level deterministic float reduction: per worker sequentially
-    // above, workers merged in worker order here.
+    // Two-level deterministic float reduction: per worker sequentially in
+    // the rounds, workers merged in worker order here.
     let mut agg = AggregateStats::default();
     let mut err = (0.0f64, 0usize);
-    for part in &partials {
-        agg.merge(&part.agg);
-        err.0 += part.err_sum;
-        err.1 += part.err_count;
+    for wb in &workers {
+        agg.merge(&wb.partial.agg);
+        err.0 += wb.partial.err_sum;
+        err.1 += wb.partial.err_count;
     }
     *env.prev_aggregate.lock() = if agg.is_empty() { None } else { Some(agg) };
     let mean_err = if err.1 > 0 {
@@ -1890,13 +2090,14 @@ fn settle_bucket<P: CyclopsProgram>(
     };
 
     let settle_elapsed = settle_start.elapsed();
-    // The settle is sequential: while one worker's state is processed every
-    // other worker's threads wait, so a worker's sync share is the superstep
-    // wall minus its own work — making why-slow's wait attribution reflect
-    // the serialization honestly.
-    for t in times.iter_mut() {
-        let work = t.total();
-        t.add(Phase::Sync, settle_elapsed.saturating_sub(work));
+    // A worker's sync share is the superstep wall minus its own work: the
+    // time it spent waiting on the other workers its settle thread
+    // processes and on the round barriers — making why-slow's wait
+    // attribution reflect the serialization honestly.
+    for wb in workers.iter_mut() {
+        let work = wb.times.total();
+        wb.times
+            .add(Phase::Sync, settle_elapsed.saturating_sub(work));
     }
 
     let snap = env
@@ -1912,8 +2113,8 @@ fn settle_bucket<P: CyclopsProgram>(
         bytes_sent: snap.bytes - last.bytes,
         ..SuperstepStats::default()
     };
-    for t in &times {
-        stats.phase_times = stats.phase_times.merge(t);
+    for wb in &workers {
+        stats.phase_times = stats.phase_times.merge(&wb.times);
     }
     env.history.lock().push(stats);
     *last = snap;
@@ -1921,36 +2122,36 @@ fn settle_bucket<P: CyclopsProgram>(
     env.supersteps_done.store(superstep + 1, Ordering::Release);
 
     if let Some(trace) = env.trace {
-        for w in 0..num_workers {
+        for (w, wb) in workers.iter().enumerate() {
             let tr = trace.worker(w);
-            tr.add_drained(drained[w]);
-            tr.add_computed(computed[w] as u64);
-            tr.add_converged_delta(conv_delta[w] as i64);
+            tr.add_drained(wb.drained);
+            tr.add_computed(wb.computed as u64);
+            tr.add_converged_delta(wb.conv_delta as i64);
             // The locally-known next frontier is the parked set.
-            tr.add_activated(sched.pending[w].len() as u64);
-            tr.set_bucket(bucket, rounds.max(1), occupancy[w]);
-            if !partials[w].agg.is_empty() {
-                tr.set_thread_agg(0, partials[w].agg);
+            tr.add_activated(wb.pending.len() as u64);
+            tr.set_bucket(global.bucket, rounds.max(1), wb.occupancy);
+            if !wb.partial.agg.is_empty() {
+                tr.set_thread_agg(0, wb.partial.agg);
             }
-            if let Some(hs) = hot[w].as_ref() {
+            if let Some(hs) = wb.hot.as_ref() {
                 tr.set_thread_hot(0, hs);
             }
             tr.commit(
                 superstep,
                 w,
-                occupancy[w] as usize,
-                &times[w],
+                wb.occupancy as usize,
+                &wb.times,
                 checkpoint_now,
             );
             // Per-superstep memory sample for each worker's slot (no-op
-            // unless `--mem` armed the allocator); the settle runs on the
-            // global leader, so it samples on every worker's behalf.
+            // unless `--mem` armed the allocator), taken here on every
+            // worker's behalf.
             cyclops_obs::mem::sample(superstep as u64, w as u32);
         }
     }
     if let Some(ph) = env.phase_hists {
-        for t in &times {
-            ph.record(t);
+        for wb in &workers {
+            ph.record(&wb.times);
         }
         ph.set_supersteps(superstep + 1);
     }
@@ -1963,7 +2164,7 @@ fn settle_bucket<P: CyclopsProgram>(
         }
         Convergence::GlobalError { epsilon } => mean_err.map(|e| e <= epsilon).unwrap_or(false),
     };
-    let all_parked_empty = sched.pending.iter().all(|p| p.is_empty());
+    let all_parked_empty = workers.iter().all(|wb| wb.pending.is_empty());
     let drained_all =
         all_parked_empty && env.transport.all_empty() && env.direct_transport.all_empty();
     let capped = superstep + 1 >= env.config.max_supersteps || budget_exhausted;
@@ -1972,32 +2173,31 @@ fn settle_bucket<P: CyclopsProgram>(
         // Feed the live occupancy histogram into the width controller.
         // Counters, never clocks: the same run retunes identically on any
         // machine or thread count, keeping `det` mode trace-stable.
-        let total_occ: u64 = occupancy.iter().sum();
-        sched.occ_sum += total_occ;
-        sched.occ_count += 1;
+        let total_occ: u64 = workers.iter().map(|wb| wb.occupancy).sum();
+        global.occ_sum += total_occ;
+        global.occ_count += 1;
         let new_delta = if env.config.bucket_adapt {
             retune_delta(
-                sched.delta,
-                sched.delta0,
+                global.delta,
+                global.delta0,
                 total_occ,
                 rounds,
-                sched.occ_sum,
-                sched.occ_count,
+                global.occ_sum,
+                global.occ_count,
             )
         } else {
-            sched.delta
+            global.delta
         };
         // Jump straight to the bucket holding the smallest parked priority
         // (parked keys are all >= end_key, so this always advances).
-        let mut min_key = u64::MAX;
-        for (w, p) in sched.pending.iter().enumerate() {
-            for &li in p {
-                min_key = min_key.min(sched.prio[w][li as usize]);
-            }
-        }
+        let min_key = workers
+            .iter()
+            .flat_map(|wb| wb.pending.iter().map(|&li| wb.prio[li as usize]))
+            .min()
+            .unwrap_or(u64::MAX);
         if min_key != u64::MAX {
             let p = okey_inv(min_key);
-            if new_delta != sched.delta {
+            if new_delta != global.delta {
                 // Bucket indices are in units of the width; after a retune
                 // re-derive the index containing the smallest parked
                 // priority directly (the monotonic guard below compares
@@ -2005,22 +2205,23 @@ fn settle_bucket<P: CyclopsProgram>(
                 // still guaranteed: the next end key strictly exceeds the
                 // smallest parked priority, so every superstep selects at
                 // least one vertex.
-                sched.delta = new_delta;
-                sched.bucket = if p.is_finite() && p >= 0.0 {
+                global.delta = new_delta;
+                global.bucket = if p.is_finite() && p >= 0.0 {
                     (p / new_delta) as u64
                 } else {
-                    sched.bucket + 1
+                    global.bucket + 1
                 };
             } else {
                 let nb = if p.is_finite() && p >= 0.0 {
-                    (p / delta) as u64
+                    (p / global.delta) as u64
                 } else {
-                    sched.bucket + 1
+                    global.bucket + 1
                 };
-                sched.bucket = nb.max(sched.bucket + 1);
+                global.bucket = nb.max(global.bucket + 1);
             }
         }
     }
+    *sched.global.lock() = global;
     env.stop.store(stop, Ordering::Release);
 }
 
@@ -2709,6 +2910,158 @@ mod tests {
                 b.checkpoints.is_empty(),
                 "bucketed checkpoint_every {every:?}"
             );
+        }
+    }
+
+    /// BFS-shaped program with hop-ring priorities: the payload is the
+    /// sender's level, so width-1 buckets are exactly the hop rings.
+    struct MinHops {
+        source: VertexId,
+    }
+    impl CyclopsProgram for MinHops {
+        type Value = u32;
+        type Message = u32;
+        fn init(&self, v: VertexId, _g: &Graph) -> u32 {
+            if v == self.source {
+                0
+            } else {
+                u32::MAX
+            }
+        }
+        fn init_message(&self, v: VertexId, _g: &Graph, value: &u32) -> Option<u32> {
+            (v == self.source).then_some(*value)
+        }
+        fn initially_active(&self, v: VertexId, _g: &Graph) -> bool {
+            v == self.source
+        }
+        fn compute(&self, ctx: &mut CyclopsContext<'_, u32, u32>) {
+            if ctx.superstep() == 0 && ctx.vertex() == self.source {
+                ctx.activate_neighbors(0);
+                return;
+            }
+            let best = ctx
+                .in_messages()
+                .map(|(m, _)| m.saturating_add(1))
+                .min()
+                .unwrap_or(u32::MAX);
+            if best < *ctx.value() {
+                ctx.set_value(best);
+                ctx.activate_neighbors(best);
+            }
+        }
+        fn priority(&self, msg: &u32) -> Option<f64> {
+            Some(*msg as f64 + 1.0)
+        }
+    }
+
+    /// One bucketed run on `settle_threads` settle threads with a values
+    /// trace attached, plus the run's deterministic fingerprint: supersteps,
+    /// messages, bytes, dense and sparse wire batches, and fused rounds.
+    #[allow(clippy::type_complexity)]
+    fn settled<Pg: CyclopsProgram>(
+        program: &Pg,
+        g: &Graph,
+        plan: &CyclopsPlan,
+        config: &CyclopsConfig,
+        settle_threads: usize,
+    ) -> (
+        CyclopsResult<Pg::Value, Pg::Message>,
+        cyclops_net::trace::RunTrace,
+        [usize; 6],
+    ) {
+        let mut sink = TraceSink::with_values("cyclops", &config.cluster);
+        let r = run_cyclops_settled(program, g, plan, config, None, Some(&sink), settle_threads);
+        let trace = cyclops_net::trace::RunTrace {
+            meta: sink.meta().clone(),
+            records: sink.take_records(),
+            spans: Vec::new(),
+            mem: Vec::new(),
+        };
+        let fused = trace
+            .records
+            .iter()
+            .filter(|rec| rec.worker == 0)
+            .map(|rec| rec.fused as usize)
+            .sum();
+        let c = &r.counters;
+        let fingerprint = [
+            r.supersteps,
+            c.messages,
+            c.bytes,
+            c.wire_dense_batches,
+            c.wire_sparse_batches,
+            fused,
+        ];
+        (r, trace, fingerprint)
+    }
+
+    #[test]
+    fn bucketed_settle_is_bitwise_identical_at_every_thread_count() {
+        use cyclops_net::trace::diff;
+        let g = cyclops_graph::gen::road_lattice(12, 12, 0.9, 0.1, 3);
+        for cluster in [ClusterSpec::flat(3, 2), ClusterSpec::mt(5, 2, 1)] {
+            let w = cluster.num_workers();
+            let part = HashPartitioner.partition(&g, w);
+            for threshold in [0, 5] {
+                let plan = CyclopsPlan::build_parallel_with_threshold(&g, &part, threshold);
+                for mode in [BucketMode::Det, BucketMode::Fast] {
+                    for every in [None, Some(2)] {
+                        let sssp_config = CyclopsConfig {
+                            cluster,
+                            bucket_width: 1.5,
+                            bucket_mode: mode,
+                            checkpoint_every: every,
+                            ..Default::default()
+                        };
+                        let bfs_config = CyclopsConfig {
+                            bucket_width: 1.0,
+                            ..sssp_config.clone()
+                        };
+                        let case = format!("{cluster:?} t={threshold} {mode:?} ckpt={every:?}");
+                        let sssp = |p| settled(&MinDist { source: 0 }, &g, &plan, &sssp_config, p);
+                        let bfs = |p| settled(&MinHops { source: 0 }, &g, &plan, &bfs_config, p);
+                        let (s1, st1, sf1) = sssp(1);
+                        let (b1, bt1, bf1) = bfs(1);
+                        assert!(sf1[5] > sf1[0], "{case}: some bucket fuses rounds");
+                        if threshold > 0 {
+                            assert!(s1.direct_messages > 0, "{case}: hybrid path exercised");
+                        }
+                        if every.is_some() {
+                            assert!(!s1.checkpoints.is_empty(), "{case}: checkpoints taken");
+                        }
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let cps = |r: &CyclopsResult<f64, f64>| {
+                            r.checkpoints
+                                .iter()
+                                .map(|c| (c.superstep, c.vertices.clone()))
+                                .collect::<Vec<_>>()
+                        };
+                        for p in [2, 3, 4, w] {
+                            let (s, st, sf) = sssp(p);
+                            assert_eq!(bits(&s.values), bits(&s1.values), "{case} P={p} sssp");
+                            assert_eq!(sf, sf1, "{case} P={p} sssp counts");
+                            assert_eq!(cps(&s), cps(&s1), "{case} P={p} sssp checkpoints");
+                            let (b, bt, bf) = bfs(p);
+                            assert_eq!(b.values, b1.values, "{case} P={p} bfs");
+                            assert_eq!(bf, bf1, "{case} P={p} bfs counts");
+                            for (a, b, name) in [(&st1, &st, "sssp"), (&bt1, &bt, "bfs")] {
+                                assert_eq!(
+                                    diff::first_divergence(a, b, false),
+                                    None,
+                                    "{case} P={p} {name} counter trace"
+                                );
+                                if mode == BucketMode::Det {
+                                    assert_eq!(
+                                        diff::first_divergence(a, b, true),
+                                        None,
+                                        "{case} P={p} {name} values trace"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -44,9 +44,11 @@
 //!   --bucket-width D      bucketed (delta-stepping) sssp or hop-ring
 //!                         bfs: drain one priority bucket of width D per
 //!                         superstep (`auto` tunes from the mean edge
-//!                         weight; default 0 = off; results identical)
+//!                         weight; default 0 = off; results identical;
+//!                         not combinable with --sched / --sparse-cutoff)
 //!   --bucket-mode M       bucket drain order: det (default, reproducible
-//!                         schedule) | fast (arrival order)
+//!                         schedule) | fast (arrival order); needs
+//!                         --bucket-width
 //!   --replicate-threshold N|auto  hybrid replication: boundary vertices
 //!                         with combined degree below N get no replica —
 //!                         their cross-worker edges are messaged directly
@@ -149,6 +151,15 @@ struct Options {
     refresh_ms: u64,
     /// Non-flag arguments after the command (trace-diff's two paths).
     positional: Vec<String>,
+    /// Every flag given on the command line, so validation can tell an
+    /// explicit setting from a default.
+    given: Vec<String>,
+}
+
+impl Options {
+    fn given(&self, flag: &str) -> bool {
+        self.given.iter().any(|f| f == flag)
+    }
 }
 
 impl Default for Options {
@@ -202,6 +213,7 @@ impl Default for Options {
             once: false,
             refresh_ms: 500,
             positional: Vec::new(),
+            given: Vec::new(),
         }
     }
 }
@@ -214,6 +226,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         .ok_or_else(|| "missing command; try `cyclops help`".to_string())?
         .clone();
     while let Some(flag) = it.next() {
+        if flag.starts_with('-') {
+            opts.given.push(flag.clone());
+        }
         let mut value = |name: &str| -> Result<String, String> {
             it.next()
                 .cloned()
@@ -368,6 +383,21 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "unknown bucket mode {}; expected det or fast",
             opts.bucket_mode
         ));
+    }
+    // Flags a run would silently ignore are errors, not no-ops.
+    let bucketed = opts.bucket_auto || opts.bucket_width > 0.0;
+    if opts.given("--bucket-width") && !matches!(opts.command.as_str(), "sssp" | "bfs") {
+        return Err("--bucket-width applies to sssp and bfs".into());
+    }
+    if opts.given("--bucket-mode") && !bucketed {
+        return Err("--bucket-mode needs --bucket-width D|auto".into());
+    }
+    for flag in ["--sched", "--sparse-cutoff"] {
+        if bucketed && opts.given(flag) {
+            return Err(format!(
+                "{flag} has no effect with --bucket-width: the bucketed settle ignores it"
+            ));
+        }
     }
     if !opts.skew.is_finite() || opts.skew < 0.0 || opts.skew >= 1.0 {
         return Err("--skew must be a fraction in [0, 1)".into());
@@ -1258,7 +1288,8 @@ execution:   --engine cyclops|hama  --machines M --workers W
              identical)
              --bucket-mode det|fast  det (default) fixes the in-bucket
              drain order for reproducible traces; fast keeps arrival
-             order
+             order (needs --bucket-width; bucketed runs reject --sched
+             and --sparse-cutoff, which they would ignore)
              --replicate-threshold N|auto  hybrid replication (cyclops
              pagerank/sssp/cc): boundary vertices with combined degree
              below N get no replica — their cross-worker edges receive
@@ -1445,6 +1476,13 @@ mod tests {
         assert!(parse_args(&args("sssp --bucket-width 1e19")).is_err());
         assert!(parse_args(&args("sssp --bucket-width nope")).is_err());
         assert!(parse_args(&args("sssp --bucket-width")).is_err());
+        // Combinations the run would silently ignore.
+        assert!(parse_args(&args("pagerank --bucket-width 4")).is_err());
+        assert!(parse_args(&args("sssp --bucket-mode fast")).is_err());
+        assert!(parse_args(&args("sssp --bucket-width auto --sched static")).is_err());
+        assert!(parse_args(&args("bfs --bucket-width 2 --sparse-cutoff 0.1")).is_err());
+        assert!(parse_args(&args("bfs --bucket-width 2 --bucket-mode fast")).is_ok());
+        assert!(parse_args(&args("sssp --sched static --sparse-cutoff 0")).is_ok());
         assert!(parse_args(&args("sssp --bucket-width 1 --bucket-mode greedy")).is_err());
     }
 

@@ -437,6 +437,36 @@ fn invalid_bucket_width_fails_with_nonzero_exit() {
     assert!(stderr.contains("unknown bucket mode greedy"), "{stderr}");
 }
 
+/// Flags the chosen run would silently ignore exit non-zero instead.
+#[test]
+fn ignored_bucket_flag_combinations_fail_with_nonzero_exit() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["pagerank", "--bucket-width", "4"],
+            "--bucket-width applies to sssp and bfs",
+        ),
+        (
+            &["sssp", "--bucket-mode", "fast"],
+            "--bucket-mode needs --bucket-width",
+        ),
+        (
+            &["sssp", "--bucket-width", "auto", "--sched", "static"],
+            "--sched has no effect with --bucket-width",
+        ),
+        (
+            &["sssp", "--bucket-width", "2", "--sparse-cutoff", "0.1"],
+            "--sparse-cutoff has no effect with --bucket-width",
+        ),
+    ];
+    for (flags, diagnostic) in cases {
+        let mut argv = flags.to_vec();
+        argv.extend(["--dataset", "RoadCA", "--scale", "0.02"]);
+        let (ok, _, stderr) = cyclops(&argv);
+        assert!(!ok, "{flags:?} must be rejected");
+        assert!(stderr.contains(diagnostic), "{flags:?}: {stderr}");
+    }
+}
+
 #[test]
 fn bucketed_sssp_matches_classic_distances_with_fewer_supersteps() {
     let graph_file = temp_path("bucketed.txt");

@@ -8,6 +8,7 @@
 //! process flow through the tracker.
 
 use cyclops::engine::CyclopsPlan;
+use cyclops::net::BucketMode;
 use cyclops::obs::mem::{self, Component};
 use cyclops::prelude::*;
 use std::sync::Mutex;
@@ -134,4 +135,47 @@ fn samples_round_trip_through_the_trace_file() {
     let orig = samples.iter().find(|s| s.worker == 0).unwrap();
     assert_eq!(rec.live, orig.live);
     assert_eq!(rec.peak, orig.peak);
+}
+
+/// The bucketed settle charges each worker's send-path allocations to that
+/// worker's slot, whichever settle thread processes it: on 6×1×2 every
+/// worker that sends across machines grows its own pooled encode buffer
+/// and outboxes, so its `SendPool` peak is nonzero.
+#[test]
+fn bucketed_settle_attributes_send_pool_to_each_sender() {
+    let _guard = LOCK.lock().unwrap();
+    mem::arm();
+    let g = Dataset::RoadCa.generate_scaled(0.05, Dataset::RoadCa.default_seed());
+    let cluster = ClusterSpec::mt(6, 2, 1);
+    let partition = HashPartitioner.partition(&g, cluster.num_workers());
+    mem::reset_peaks();
+    let mut sink = cyclops::net::trace::TraceSink::new("cyclops", &cluster);
+    cyclops::algos::sssp::run_cyclops_sssp_bucketed(
+        &g,
+        &partition,
+        &cluster,
+        0,
+        100_000,
+        0.0, // auto width
+        BucketMode::Det,
+        0,
+        Some(&sink),
+    );
+    let mut sent = [0u64; 6];
+    for rec in sink.take_records() {
+        sent[rec.worker as usize] += rec.messages;
+    }
+    assert!(
+        sent.iter().filter(|&&m| m > 0).count() >= 2,
+        "the run must send from several workers: {sent:?}"
+    );
+    for (w, &messages) in sent.iter().enumerate() {
+        if messages > 0 {
+            assert!(
+                mem::worker_peak_bytes(Some(w), Component::SendPool) > 0,
+                "worker {w} sent {messages} messages across machines but its \
+                 SendPool slot recorded no peak"
+            );
+        }
+    }
 }

@@ -256,46 +256,6 @@ pub fn run_cyclops_pagerank_tuned(
     )
 }
 
-/// [`run_cyclops_pagerank_tuned`] with superstep-boundary hot-vertex
-/// migration (see [`cyclops_engine::run_cyclops_migrated_traced`]): every
-/// `every` supersteps hot masters move off the most loaded worker and the
-/// plan is rewired incrementally. Ranks are bitwise identical to the
-/// unmigrated run — activation, the in-message fold order (the graph's
-/// in-edge order), and the superstep structure are all ownership-
-/// independent, and the program is aggregate-free.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_pagerank_migrated(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    every: usize,
-    migration: cyclops_partition::MigrationConfig,
-    trace: Option<&TraceSink>,
-) -> (CyclopsResult<f64, f64>, cyclops_engine::MigrationReport) {
-    cyclops_engine::run_cyclops_migrated_traced(
-        &CyclopsPageRank { epsilon },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            convergence: Convergence::ActiveVertices,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        every,
-        migration,
-        trace,
-    )
-}
-
 /// Runs GAS (PowerGraph) PageRank.
 pub fn run_gas_pagerank(
     graph: &Graph,
@@ -421,34 +381,6 @@ mod tests {
         // In BSP every vertex is alive until global convergence.
         let bsp_mid = bsp.stats[bsp.stats.len() / 2].active_vertices;
         assert_eq!(bsp_mid, 400);
-    }
-
-    #[test]
-    fn migrated_pagerank_is_bitwise_identical_on_a_skewed_partition() {
-        let g = erdos_renyi(300, 1800, 7);
-        let n = g.num_vertices();
-        let assignment = (0..n)
-            .map(|v| if v < n / 4 { (v % 4) as u32 } else { 0 })
-            .collect();
-        let p = EdgeCutPartition::new(4, assignment);
-        let cluster = ClusterSpec::flat(4, 1);
-        let plain = run_cyclops_pagerank(&g, &p, &cluster, 1e-10, 500);
-        let (migrated, report) = run_cyclops_pagerank_migrated(
-            &g,
-            &p,
-            &cluster,
-            1e-10,
-            500,
-            cyclops_engine::Sched::default(),
-            CyclopsConfig::default().sparse_cutoff,
-            0,
-            6,
-            cyclops_partition::MigrationConfig::default(),
-            None,
-        );
-        assert!(report.migrations_total > 0, "skew must trigger migration");
-        assert_eq!(plain.values, migrated.values);
-        assert_eq!(plain.supersteps, migrated.supersteps);
     }
 
     #[test]

@@ -256,46 +256,6 @@ pub fn run_cyclops_sssp_tuned(
     )
 }
 
-/// [`run_cyclops_sssp_tuned`] with superstep-boundary hot-vertex
-/// migration: every `every` supersteps the run pauses on a checkpoint
-/// boundary, the planner moves hot masters off the most loaded worker
-/// (decided from deterministic per-vertex compute counters, never
-/// wall-clock), and the plan is rewired incrementally. Distances are
-/// bitwise identical to the unmigrated run at every setting; the second
-/// return value reports what moved and how the measured compute imbalance
-/// changed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_sssp_migrated(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    every: usize,
-    migration: cyclops_partition::MigrationConfig,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> (CyclopsResult<f64, f64>, cyclops_engine::MigrationReport) {
-    cyclops_engine::run_cyclops_migrated_traced(
-        &CyclopsSssp { source },
-        graph,
-        partition,
-        &CyclopsConfig {
-            cluster: *cluster,
-            max_supersteps,
-            sched,
-            sparse_cutoff,
-            replicate_threshold,
-            ..Default::default()
-        },
-        every,
-        migration,
-        trace,
-    )
-}
-
 /// Picks a bucket width for delta-stepping SSSP on `graph`: ~8x the mean
 /// edge weight. Wider buckets admit more vertices per superstep (fewer
 /// barriers — the win on high-diameter road networks) at the cost of some
@@ -472,51 +432,6 @@ mod tests {
         assert!(r.values[2].is_infinite());
         assert!(r.values[3].is_infinite());
         assert_eq!(r.values[1], 1.0);
-    }
-
-    #[test]
-    fn migrated_sssp_is_bitwise_identical_on_a_skewed_partition() {
-        let g = road_lattice(12, 12, 0.9, 0.1, 3);
-        // Deliberately unbalanced: most vertices start on worker 0.
-        let n = g.num_vertices();
-        let assignment = (0..n)
-            .map(|v| if v < n / 4 { (v % 4) as u32 } else { 0 })
-            .collect();
-        let p = EdgeCutPartition::new(4, assignment);
-        let cluster = ClusterSpec::flat(4, 1);
-        let plain = run_cyclops_sssp(&g, &p, &cluster, 0, 10_000);
-        let (migrated, report) = run_cyclops_sssp_migrated(
-            &g,
-            &p,
-            &cluster,
-            0,
-            10_000,
-            cyclops_engine::Sched::default(),
-            CyclopsConfig::default().sparse_cutoff,
-            0,
-            8,
-            cyclops_partition::MigrationConfig::default(),
-            None,
-        );
-        assert!(report.migrations_total > 0, "skew must trigger migration");
-        assert_eq!(plain.values, migrated.values);
-        assert_eq!(plain.supersteps, migrated.supersteps);
-        // Every boundary that moved vertices reduced the measured
-        // imbalance of the epoch it closed. (The *absolute* level may still
-        // rise between epochs — the active wave keeps marching into the
-        // skewed region — which is exactly why migration re-plans per
-        // epoch.)
-        let moved: Vec<_> = report.events.iter().filter(|e| e.moves > 0).collect();
-        assert!(!moved.is_empty());
-        for e in moved {
-            assert!(
-                e.imbalance_after < e.imbalance_before,
-                "superstep {}: imbalance {} -> {}",
-                e.superstep,
-                e.imbalance_before,
-                e.imbalance_after
-            );
-        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub enum Sched {
 }
 
 /// Engine configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CyclopsConfig {
     /// Cluster topology; decides flat Cyclops vs CyclopsMT.
     pub cluster: ClusterSpec,
@@ -152,19 +152,6 @@ pub struct CyclopsConfig {
     /// memory change. Ignored by the `run_cyclops_with_plan*` entry points,
     /// which take a pre-built plan.
     pub replicate_threshold: u32,
-    /// Stop the run right after capturing a checkpoint (requires
-    /// `checkpoint_every`): every thread exits at the post-capture barrier,
-    /// before any superstep-`s` compute. The migration driver uses this to
-    /// carve a run into epochs — the run stopped at a checkpoint exactly
-    /// when `checkpoints.last().superstep == supersteps` (a naturally
-    /// finished run always has its last checkpoint strictly earlier).
-    pub stop_at_checkpoint: bool,
-    /// Deterministic per-vertex compute-cost ledger fed by the compute
-    /// loop: each computed master is charged its static work mass (the
-    /// same proxy the dynamic scheduler balances). `None` (the default)
-    /// records nothing. Counters, not clocks — the ledger's totals are
-    /// bitwise identical across thread counts.
-    pub load_ledger: Option<std::sync::Arc<cyclops_partition::LoadLedger>>,
     /// Auto-retune the delta-stepping bucket width Δ from the live bucket
     /// occupancy (`--bucket-width auto`): a bucket that drains far more
     /// mass than the running average over many fused rounds halves Δ, a
@@ -188,8 +175,6 @@ impl Default for CyclopsConfig {
             bucket_width: 0.0,
             bucket_mode: BucketMode::Det,
             replicate_threshold: 0,
-            stop_at_checkpoint: false,
-            load_ledger: None,
             bucket_adapt: false,
         }
     }
@@ -824,15 +809,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                 );
             }
             ws.local.wait();
-            // Epoch boundary: `checkpoint_now` is a pure function of the
-            // superstep index, so every thread of every worker reaches this
-            // exact point and returns together — transports are drained,
-            // the frontier still holds superstep `s`'s activations (which
-            // the checkpoint captured), and `supersteps_done` already reads
-            // `s`. The migration driver resumes from the checkpoint.
-            if env.config.stop_at_checkpoint {
-                return;
-            }
         }
         times.add(Phase::Sync, wait_start.elapsed());
         // Snapshot the frontier: everything activated for this superstep by
@@ -929,13 +905,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                         // proxy — the same estimate the dynamic scheduler
                         // balances on.
                         hs.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
-                    }
-                    if let Some(ledger) = &env.config.load_ledger {
-                        // Same cost proxy as the hot sketch; relaxed integer
-                        // adds commute, so the ledger — and every migration
-                        // decision read from it — is independent of thread
-                        // count and chunk claim order.
-                        ledger.record(wp.masters[li], wp.work_mass[li].max(1) as u64);
                     }
                     let mut publish: Option<P::Message> = None;
                     let mut reported: Option<f64> = None;
@@ -2399,7 +2368,7 @@ mod tests {
         for threshold in [2u32, 8, u32::MAX] {
             let hybrid = run_mindist(&CyclopsConfig {
                 replicate_threshold: threshold,
-                ..base.clone()
+                ..base
             });
             assert_eq!(full.values, hybrid.values, "threshold {threshold}");
         }
@@ -2713,7 +2682,7 @@ mod tests {
             let bucketed = run_mindist(&CyclopsConfig {
                 bucket_width: 2.0,
                 bucket_mode: mode,
-                ..base.clone()
+                ..base
             });
             // Relaxation order never changes the min fixpoint (and each
             // candidate is the same left-folded path sum), so distances are
@@ -2777,13 +2746,13 @@ mod tests {
                 bucket_width: 0.25,
                 bucket_mode: mode,
                 bucket_adapt: true,
-                ..base.clone()
+                ..base
             });
             assert_eq!(classic.values, adaptive.values, "{mode:?}");
             let static_width = run_mindist(&CyclopsConfig {
                 bucket_width: 0.25,
                 bucket_mode: mode,
-                ..base.clone()
+                ..base
             });
             assert_eq!(classic.values, static_width.values, "{mode:?}");
             assert!(
@@ -3015,7 +2984,7 @@ mod tests {
                         };
                         let bfs_config = CyclopsConfig {
                             bucket_width: 1.0,
-                            ..sssp_config.clone()
+                            ..sssp_config
                         };
                         let case = format!("{cluster:?} t={threshold} {mode:?} ckpt={every:?}");
                         let sssp = |p| settled(&MinDist { source: 0 }, &g, &plan, &sssp_config, p);

@@ -34,12 +34,18 @@
 //! * [`engine::Convergence`] — activity-, proportion- and global-error-based
 //!   convergence detection (§4.4),
 //! * [`checkpoint`] — value-only checkpoints (replicas and messages need not
-//!   be saved, §3.6).
+//!   be saved, §3.6),
+//! * [`mutation::run_cyclops_evolving`] — the one epoch driver: it runs a
+//!   computation to quiescence, applies a topology [`MutationBatch`],
+//!   rebuilds the plan and resumes warm.
+//!
+//! Master placement is fixed by the partition for the whole run; load
+//! balance comes from the immutable view and CyclopsMT's per-worker thread
+//! scheduling, as in the paper.
 
 pub mod checkpoint;
 pub mod engine;
 pub mod frontier;
-pub mod migrate;
 pub mod mutation;
 pub mod plan;
 pub mod program;
@@ -50,10 +56,6 @@ pub use engine::{
     run_cyclops_with_plan_traced, Convergence, CyclopsConfig, CyclopsResult, Sched,
 };
 pub use frontier::ShardedFrontier;
-pub use migrate::{
-    apply_migration, run_cyclops_migrated, run_cyclops_migrated_traced, MigrationEvent,
-    MigrationReport,
-};
 pub use mutation::{
     apply_mutations, run_cyclops_evolving, EvolvingResult, MutationBatch, WarmStart,
 };

@@ -161,7 +161,7 @@ impl WorkerPlan {
     /// Fills `work_mass` / `work_mass_prefix` from the already-built CSRs.
     /// Shared by both builders so the serial and parallel plans stay
     /// field-identical by construction.
-    pub(crate) fn compute_work_mass(&mut self) {
+    fn compute_work_mass(&mut self) {
         let n = self.num_masters();
         let mut mass = Vec::with_capacity(n);
         let mut prefix = Vec::with_capacity(n + 1);
@@ -323,17 +323,13 @@ pub struct CyclopsPlan {
 /// receiver derive the same key independently from their own edge lists, so
 /// the sorted key table plays the role the shared replica index plays for
 /// hot vertices.
-pub(crate) type DirectKey = (u32, VertexId, u32, u32);
+type DirectKey = (u32, VertexId, u32, u32);
 
 /// Cold flags plus `(replicated, messaged)` boundary-vertex counts at
 /// `threshold`: a vertex is cold when it has a cross-worker out-edge and
 /// its combined (in + out) degree is below the threshold. Threshold 0 marks
 /// nothing cold — full replication.
-pub(crate) fn classify_cold(
-    graph: &Graph,
-    owner: &[u32],
-    threshold: u32,
-) -> (Vec<bool>, usize, usize) {
+fn classify_cold(graph: &Graph, owner: &[u32], threshold: u32) -> (Vec<bool>, usize, usize) {
     let mut cold = vec![false; graph.num_vertices()];
     let (mut replicated, mut messaged) = (0usize, 0usize);
     for u in graph.vertices() {
@@ -357,7 +353,7 @@ pub(crate) fn classify_cold(
 
 /// Worker `w`'s sorted direct-slot key table: one key per cross-worker
 /// in-edge from a cold vertex, discovered from the receiver's in-edge lists.
-pub(crate) fn direct_keys(
+fn direct_keys(
     graph: &Graph,
     owner: &[u32],
     w: usize,
@@ -385,7 +381,7 @@ pub(crate) fn direct_keys(
 /// direct-slot key table. Returns `(offsets, refs, weights)`. Shared by both
 /// builders so serial and parallel plans stay field-identical.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn wire_in_refs(
+fn wire_in_refs(
     graph: &Graph,
     owner: &[u32],
     local_of: &[u32],
@@ -434,7 +430,7 @@ pub(crate) fn wire_in_refs(
 /// `(local_out_offsets, local_out, mirror_offsets, mirrors,
 ///   direct_out_offsets, direct_out)`.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub(crate) fn wire_out(
+fn wire_out(
     graph: &Graph,
     owner: &[u32],
     local_of: &[u32],
@@ -512,8 +508,9 @@ pub(crate) fn wire_out(
 /// Wires worker `w`'s replica activation fan-out: the local out-neighbors
 /// each replica activates (the paper's "L-Out" edges of a replica,
 /// Figure 6), deduplicated per replica. Returns `(rep_out_offsets,
-/// rep_out)`. Shared by both builders and the incremental migrator.
-pub(crate) fn wire_rep_out(
+/// rep_out)`. Shared by both builders so serial and parallel plans stay
+/// field-identical.
+fn wire_rep_out(
     graph: &Graph,
     owner: &[u32],
     local_of: &[u32],

@@ -3,12 +3,10 @@
 //! sequential fixpoint computation, and the §3.4 message invariant must
 //! hold.
 
-use cyclops_engine::{
-    apply_migration, run_cyclops, CyclopsConfig, CyclopsContext, CyclopsPlan, CyclopsProgram,
-};
+use cyclops_engine::{run_cyclops, CyclopsConfig, CyclopsContext, CyclopsProgram};
 use cyclops_graph::{Graph, GraphBuilder, VertexId};
 use cyclops_net::ClusterSpec;
-use cyclops_partition::{EdgeCutPartition, MigrationBatch, VertexMove};
+use cyclops_partition::EdgeCutPartition;
 use proptest::prelude::*;
 
 /// Pull-mode max propagation (see the engine's unit tests): value becomes
@@ -79,68 +77,6 @@ fn arb_partition(g: &Graph, k: usize, seed: u64) -> EdgeCutPartition {
     EdgeCutPartition::new(k, assignment)
 }
 
-/// Field-by-field structural equality of two plans — the contract
-/// [`apply_migration`] promises against a from-scratch build.
-fn plans_equal(a: &CyclopsPlan, b: &CyclopsPlan) -> Result<(), String> {
-    macro_rules! check {
-        ($x:expr, $y:expr, $name:literal) => {
-            if $x != $y {
-                return Err(format!("{} diverged: {:?} vs {:?}", $name, $x, $y));
-            }
-        };
-    }
-    check!(a.owner, b.owner, "owner");
-    check!(a.local_of, b.local_of, "local_of");
-    check!(
-        a.ingress.total_replicas,
-        b.ingress.total_replicas,
-        "total_replicas"
-    );
-    check!(
-        a.ingress.replicated_boundary,
-        b.ingress.replicated_boundary,
-        "replicated_boundary"
-    );
-    check!(
-        a.ingress.messaged_boundary,
-        b.ingress.messaged_boundary,
-        "messaged_boundary"
-    );
-    check!(
-        a.ingress.total_direct_slots,
-        b.ingress.total_direct_slots,
-        "total_direct_slots"
-    );
-    for (x, y) in a.workers.iter().zip(&b.workers) {
-        check!(x.masters, y.masters, "masters");
-        check!(x.replicas, y.replicas, "replicas");
-        check!(x.in_ref_offsets, y.in_ref_offsets, "in_ref_offsets");
-        check!(x.in_refs, y.in_refs, "in_refs");
-        check!(x.in_weights, y.in_weights, "in_weights");
-        check!(
-            x.local_out_offsets,
-            y.local_out_offsets,
-            "local_out_offsets"
-        );
-        check!(x.local_out, y.local_out, "local_out");
-        check!(x.mirror_offsets, y.mirror_offsets, "mirror_offsets");
-        check!(x.mirrors, y.mirrors, "mirrors");
-        check!(x.rep_out_offsets, y.rep_out_offsets, "rep_out_offsets");
-        check!(x.rep_out, y.rep_out, "rep_out");
-        check!(x.direct_source, y.direct_source, "direct_source");
-        check!(x.direct_target, y.direct_target, "direct_target");
-        check!(
-            x.direct_out_offsets,
-            y.direct_out_offsets,
-            "direct_out_offsets"
-        );
-        check!(x.direct_out, y.direct_out, "direct_out");
-        check!(x.work_mass, y.work_mass, "work_mass");
-        check!(x.work_mass_prefix, y.work_mass_prefix, "work_mass_prefix");
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,56 +101,6 @@ proptest! {
             ..Default::default()
         });
         prop_assert_eq!(r.values, sequential_maxpull(&g));
-    }
-
-    #[test]
-    fn rewired_plan_equals_from_scratch_build(
-        g in arb_graph(),
-        seed in 0u64..1_000,
-        workers in 2usize..5,
-        threshold_idx in 0usize..3,
-        picks in prop::collection::vec((0usize..25, 0u32..5), 1..6),
-    ) {
-        // Arbitrary move batches, applied in two chained rounds: the
-        // second rewires an already-rewired plan, so the incremental path
-        // must compose, not just match once.
-        let threshold = [0u32, 2, u32::MAX][threshold_idx];
-        let p = arb_partition(&g, workers, seed);
-        let mut plan = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
-        let n = g.num_vertices();
-        for round in 0..2 {
-            let moves: Vec<VertexMove> = picks
-                .iter()
-                .skip(round)
-                .map(|&(vi, to)| {
-                    let vertex = (vi % n) as VertexId;
-                    VertexMove {
-                        vertex,
-                        from: plan.owner[vertex as usize],
-                        to: to % workers as u32,
-                        cost: 1,
-                    }
-                })
-                // One move per vertex per batch; drop no-op moves.
-                .scan(std::collections::BTreeSet::new(), |seen, mv| {
-                    Some(seen.insert(mv.vertex).then_some(mv))
-                })
-                .flatten()
-                .filter(|mv| mv.from != mv.to)
-                .collect();
-            if moves.is_empty() {
-                continue;
-            }
-            apply_migration(&mut plan, &g, &MigrationBatch { moves }, threshold);
-            let fresh = CyclopsPlan::build_parallel_with_threshold(
-                &g,
-                &EdgeCutPartition::new(workers, plan.owner.clone()),
-                threshold,
-            );
-            if let Err(e) = plans_equal(&plan, &fresh) {
-                prop_assert!(false, "round {round}: {e}");
-            }
-        }
     }
 
     #[test]

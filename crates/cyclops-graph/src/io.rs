@@ -43,65 +43,74 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// Most vertex ids an edge list may imply per edge line. Ids are taken
+/// verbatim, so one line naming a huge id would otherwise make the loader
+/// allocate per-vertex arrays for billions of vertices and abort. Real
+/// inputs sit far below this: isolated vertices never appear in an edge
+/// list, so `max id + 1` stays within a small multiple of the edge count.
+const MAX_IDS_PER_EDGE: usize = 64;
+
+/// Floor of the implied-vertex-count bound, so small hand-written files
+/// may still use sparse ids.
+const MIN_ID_BOUND: usize = 1 << 20;
+
 /// Reads an edge list from any reader. Vertex ids are taken verbatim, and the
 /// vertex count is `max id + 1` (or larger if `min_vertices` says so).
-/// Weighted and unweighted lines must not be mixed.
+/// Weighted and unweighted lines must not be mixed. An input whose implied
+/// vertex count `max id + 1` exceeds `max(64·E, 2^20)` for `E` edge lines is
+/// rejected with a parse error naming the line that holds the largest id.
 pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<Graph, IoError> {
     let reader = BufReader::new(reader);
-    let mut edges: Vec<(VertexId, VertexId, Option<f64>)> = Vec::new();
-    let mut max_id: usize = 0;
+    let mut b = GraphBuilder::new(min_vertices);
+    // Weightedness of the first edge line; every later line must match.
+    let mut weighted: Option<bool> = None;
+    // Largest id seen and the 1-based line holding it.
+    let (mut max_id, mut max_line) = (0usize, 0usize);
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
+        let bad = |content: String| IoError::Parse {
+            line: idx + 1,
+            content,
+        };
         let mut it = trimmed.split_whitespace();
         let parse = |tok: Option<&str>| -> Option<u64> { tok.and_then(|t| t.parse().ok()) };
         let (src, dst) = match (parse(it.next()), parse(it.next())) {
-            (Some(s), Some(d)) => (s, d),
-            _ => {
-                return Err(IoError::Parse {
-                    line: idx + 1,
-                    content: trimmed.to_string(),
-                })
+            (Some(s), Some(d)) if s <= u32::MAX as u64 && d <= u32::MAX as u64 => {
+                (s as VertexId, d as VertexId)
             }
+            _ => return Err(bad(trimmed.to_string())),
         };
         let weight = match it.next() {
-            Some(tok) => Some(tok.parse::<f64>().map_err(|_| IoError::Parse {
-                line: idx + 1,
-                content: trimmed.to_string(),
-            })?),
+            Some(tok) => Some(tok.parse::<f64>().map_err(|_| bad(trimmed.to_string()))?),
             None => None,
         };
-        if src > u32::MAX as u64 || dst > u32::MAX as u64 {
-            return Err(IoError::Parse {
-                line: idx + 1,
-                content: trimmed.to_string(),
-            });
+        if *weighted.get_or_insert(weight.is_some()) != weight.is_some() {
+            return Err(bad("mixed weighted and unweighted lines".to_string()));
         }
-        max_id = max_id.max(src as usize).max(dst as usize);
-        edges.push((src as VertexId, dst as VertexId, weight));
+        let hi = src.max(dst) as usize;
+        if hi > max_id {
+            (max_id, max_line) = (hi, idx + 1);
+        }
+        b.ensure_vertices(hi + 1);
+        match weight {
+            Some(w) => b.add_weighted_edge(src, dst, w),
+            None => b.add_edge(src, dst),
+        }
     }
-
-    let n = if edges.is_empty() {
-        min_vertices
-    } else {
-        (max_id + 1).max(min_vertices)
-    };
-    let mut b = GraphBuilder::new(n);
-    let weighted = edges.first().map(|e| e.2.is_some()).unwrap_or(false);
-    for (i, (s, d, w)) in edges.into_iter().enumerate() {
-        match (weighted, w) {
-            (true, Some(w)) => b.add_weighted_edge(s, d, w),
-            (false, None) => b.add_edge(s, d),
-            _ => {
-                return Err(IoError::Parse {
-                    line: i + 1,
-                    content: "mixed weighted and unweighted lines".to_string(),
-                })
-            }
-        }
+    let limit = (MAX_IDS_PER_EDGE * b.num_edges()).max(MIN_ID_BOUND);
+    if max_id >= limit {
+        return Err(IoError::Parse {
+            line: max_line,
+            content: format!(
+                "vertex id {max_id} implies {} vertices for {} edge lines (limit {limit})",
+                max_id + 1,
+                b.num_edges()
+            ),
+        });
     }
     Ok(b.build())
 }
@@ -250,7 +259,39 @@ mod tests {
     #[test]
     fn rejects_mixed_weightedness() {
         let err = read_edge_list("0 1 2.0\n1 0\n".as_bytes(), 0).unwrap_err();
-        assert!(matches!(err, IoError::Parse { .. }));
+        assert!(matches!(err, IoError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    fn mixed_weightedness_names_the_file_line() {
+        // Comment and blank lines count toward the reported line number.
+        let text = "# header\n0 1\n\n1 2\n2 0 1.5\n";
+        let err = read_edge_list(text.as_bytes(), 0).unwrap_err();
+        match err {
+            IoError::Parse { line, content } => {
+                assert_eq!(line, 5);
+                assert!(content.contains("mixed"), "{content}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_ids_far_beyond_the_edge_count() {
+        // One edge naming the largest u32 id would imply ~4 billion vertices.
+        let err = read_edge_list("0 4294967295\n".as_bytes(), 0).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 1, .. }), "{err}");
+        // The error names the line holding the largest id, not the last one.
+        let text = "# big ids\n0 1\n3000000 2\n2 1\n";
+        let err = read_edge_list(text.as_bytes(), 0).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 3, .. }), "{err}");
+        // Ids up to the 2^20 floor load even from a one-line file...
+        let g = read_edge_list("0 1048575\n".as_bytes(), 0).unwrap();
+        assert_eq!(g.num_vertices(), 1 << 20);
+        assert!(read_edge_list("0 1048576\n".as_bytes(), 0).is_err());
+        // ...and `min_vertices` is the caller's choice, never bounded.
+        let g = read_edge_list("0 1\n".as_bytes(), 2_000_000).unwrap();
+        assert_eq!(g.num_vertices(), 2_000_000);
     }
 
     #[test]

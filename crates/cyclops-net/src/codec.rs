@@ -452,121 +452,6 @@ impl<M> DirectMessage<M> {
     }
 }
 
-/// Mode byte of the `MigrationBatch` framing: one frame per migration
-/// epoch carrying the moved masters' pending state across the wire.
-/// Disjoint from every `ReplicaBatch` / `DirectBatch` tag (all < 0x80,
-/// so also disjoint from [`PACKED_SINGLE_BIT`] frames).
-const MIGRATION_BATCH: u8 = 5;
-
-/// One migrated master on the wire: the vertex, the ownership transfer,
-/// and the in-flight per-vertex engine state the destination worker needs
-/// to resume the epoch — the activation bit and the latest publication
-/// (both restored from the epoch checkpoint the migration driver resumes
-/// from). Vertex *values* are not `Codec` in the Cyclops engines (only
-/// messages are), so the value payload rides as `state_bytes` of opaque
-/// padding sized by the caller (`size_of::<V>()`): the byte accounting is
-/// honest without forcing a `Codec` bound onto every algorithm's value
-/// type.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MigrationRecord<M> {
-    /// The migrated vertex (global id).
-    pub vertex: u32,
-    /// Worker losing the master.
-    pub from: u32,
-    /// Worker gaining the master.
-    pub to: u32,
-    /// Whether the vertex is activated for the resumed superstep.
-    pub active: bool,
-    /// The master's latest publication, if it has published.
-    pub publication: Option<M>,
-    /// Size of the vertex-value payload transferred alongside (opaque
-    /// padding on the wire; see the type docs).
-    pub state_bytes: u32,
-}
-
-/// Encodes a migration batch: tag · varint count · per record
-/// (varint vertex · varint from · varint to · flags byte · [publication]
-/// · varint state_bytes · `state_bytes` padding bytes). Flag bit 0 is
-/// `active`, bit 1 is publication presence.
-pub fn encode_migration_batch<M: Codec>(buf: &mut BytesMut, records: &[MigrationRecord<M>]) {
-    buf.put_u8(MIGRATION_BATCH);
-    encode_varint(buf, records.len() as u64);
-    for r in records {
-        encode_varint(buf, r.vertex as u64);
-        encode_varint(buf, r.from as u64);
-        encode_varint(buf, r.to as u64);
-        let mut flags = 0u8;
-        if r.active {
-            flags |= 1;
-        }
-        if r.publication.is_some() {
-            flags |= 2;
-        }
-        buf.put_u8(flags);
-        if let Some(p) = &r.publication {
-            p.encode(buf);
-        }
-        encode_varint(buf, r.state_bytes as u64);
-        buf.put_slice(&vec![0u8; r.state_bytes as usize]);
-    }
-}
-
-/// Decodes a migration batch, rejecting truncated buffers, non-migration
-/// tags, and malformed records.
-pub fn try_decode_migration_batch<M: Codec>(buf: &mut impl Buf) -> Option<Vec<MigrationRecord<M>>> {
-    if buf.remaining() < 1 || buf.get_u8() != MIGRATION_BATCH {
-        return None;
-    }
-    let count = try_decode_varint(buf)?;
-    let mut out = Vec::with_capacity(count.min(4096) as usize);
-    for _ in 0..count {
-        let vertex = u32::try_from(try_decode_varint(buf)?).ok()?;
-        let from = u32::try_from(try_decode_varint(buf)?).ok()?;
-        let to = u32::try_from(try_decode_varint(buf)?).ok()?;
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let flags = buf.get_u8();
-        if flags & !3 != 0 {
-            return None;
-        }
-        let publication = if flags & 2 != 0 {
-            Some(M::try_decode(buf)?)
-        } else {
-            None
-        };
-        let state_bytes = u32::try_from(try_decode_varint(buf)?).ok()?;
-        if buf.remaining() < state_bytes as usize {
-            return None;
-        }
-        buf.advance(state_bytes as usize);
-        out.push(MigrationRecord {
-            vertex,
-            from,
-            to,
-            active: flags & 1 != 0,
-            publication,
-            state_bytes,
-        });
-    }
-    Some(out)
-}
-
-/// Exact wire size [`encode_migration_batch`] produces for `records`.
-pub fn migration_batch_encoded_len<M: Codec>(records: &[MigrationRecord<M>]) -> usize {
-    let mut len = 1 + varint_len(records.len() as u64);
-    for r in records {
-        len += varint_len(r.vertex as u64)
-            + varint_len(r.from as u64)
-            + varint_len(r.to as u64)
-            + 1
-            + r.publication.as_ref().map_or(0, |p| p.encoded_len())
-            + varint_len(r.state_bytes as u64)
-            + r.state_bytes as usize;
-    }
-    len
-}
-
 /// The shape both adaptive batch formats share: a `u32` id, a payload, and
 /// an activation bit. Lets `ReplicaBatch` and `DirectBatch` run the same
 /// encoder/decoder with per-format knobs: the mode tags, whether the wire
@@ -1325,73 +1210,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    fn migration_records(n: u32) -> Vec<MigrationRecord<f64>> {
-        (0..n)
-            .map(|i| MigrationRecord {
-                vertex: i * 3_000 + 7,
-                from: i % 4,
-                to: (i + 1) % 4,
-                active: i % 2 == 0,
-                publication: if i % 3 == 0 {
-                    Some(i as f64 * 0.5)
-                } else {
-                    None
-                },
-                state_bytes: (i % 5) * 8,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn migration_batch_round_trips_and_len_is_exact() {
-        for n in [0, 1, 7, 40] {
-            let records = migration_records(n);
-            let mut buf = BytesMut::new();
-            encode_migration_batch(&mut buf, &records);
-            assert_eq!(buf.len(), migration_batch_encoded_len(&records));
-            let mut slice = &buf[..];
-            let out = try_decode_migration_batch::<f64>(&mut slice).unwrap();
-            assert!(slice.is_empty(), "decode must consume the whole frame");
-            assert_eq!(out, records);
-        }
-    }
-
-    #[test]
-    fn migration_batch_rejects_truncation_at_every_offset() {
-        let records = migration_records(9);
-        let mut full = BytesMut::new();
-        encode_migration_batch(&mut full, &records);
-        for cut in 0..full.len() {
-            assert_eq!(
-                try_decode_migration_batch::<f64>(&mut &full[..cut]),
-                None,
-                "a {cut}-byte prefix of {} decoded",
-                full.len()
-            );
-        }
-    }
-
-    #[test]
-    fn migration_batch_tag_is_disjoint_from_other_framings() {
-        // A migration frame must not decode as a replica or direct batch,
-        // and vice versa: every framing checks its own tag.
-        let records = migration_records(3);
-        let mut mig = BytesMut::new();
-        encode_migration_batch(&mut mig, &records);
-        assert!(ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &mig[..]).is_none());
-        assert!(DirectMessage::<f64>::wire_try_decode_batch(&mut &mig[..]).is_none());
-
-        let mut reps = vec![ReplicaUpdate::new(0, 1.0f64, true)];
-        let mut rep_buf = BytesMut::new();
-        ReplicaUpdate::wire_encode_batch_into(&mut rep_buf, &mut reps);
-        assert!(try_decode_migration_batch::<f64>(&mut &rep_buf[..]).is_none());
-
-        let mut dirs = directs(&[3]);
-        let mut dir_buf = BytesMut::new();
-        DirectMessage::wire_encode_batch_into(&mut dir_buf, &mut dirs);
-        assert!(try_decode_migration_batch::<f64>(&mut &dir_buf[..]).is_none());
     }
 
     #[test]

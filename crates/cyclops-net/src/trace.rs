@@ -110,12 +110,6 @@ pub struct TraceRecord {
     pub direct_messages: u64,
     /// Cross-machine wire bytes of the direct-message batches above.
     pub direct_bytes: u64,
-    /// Masters migrated *onto* this worker at the epoch boundary preceding
-    /// this superstep (dynamic load balancing). 0 on migration-off runs —
-    /// the field is then omitted from JSONL, keeping migration-off traces
-    /// byte-identical to pre-migration ones. Excluded from [`diff`]'s
-    /// values-only comparison like the other schedule-shaped counters.
-    pub migrated: u64,
     /// Relaxation rounds fused into this superstep by the bucketed
     /// scheduler (0 on non-bucketed runs — the field is then omitted from
     /// JSONL, keeping bucket-off traces byte-identical to pre-bucketing
@@ -234,8 +228,6 @@ pub struct WorkerTracer {
     /// Direct messages / bytes sent this superstep (hybrid replication).
     direct_messages: AtomicU64,
     direct_bytes: AtomicU64,
-    /// Masters migrated onto this worker at the preceding epoch boundary.
-    migrated: AtomicU64,
     /// Bucketed-scheduler accounting for this superstep: fused relaxation
     /// rounds, the bucket index drained, and distinct selected vertices.
     fused: AtomicU64,
@@ -300,7 +292,6 @@ impl WorkerTracer {
             wire_sparse: AtomicU64::new(0),
             direct_messages: AtomicU64::new(0),
             direct_bytes: AtomicU64::new(0),
-            migrated: AtomicU64::new(0),
             fused: AtomicU64::new(0),
             bucket: AtomicU64::new(0),
             bucket_occupancy: AtomicU64::new(0),
@@ -399,17 +390,6 @@ impl WorkerTracer {
         }
         if bytes > 0 {
             self.direct_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds masters migrated onto this worker at the epoch boundary that
-    /// precedes the superstep being accumulated (the migration driver calls
-    /// this between epochs; the count lands on the resumed epoch's first
-    /// committed record).
-    #[inline]
-    pub fn add_migrated(&self, n: u64) {
-        if n > 0 {
-            self.migrated.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -541,7 +521,6 @@ impl WorkerTracer {
             wire_sparse: self.wire_sparse.swap(0, Ordering::Relaxed),
             direct_messages: self.direct_messages.swap(0, Ordering::Relaxed),
             direct_bytes: self.direct_bytes.swap(0, Ordering::Relaxed),
-            migrated: self.migrated.swap(0, Ordering::Relaxed),
             fused: self.fused.swap(0, Ordering::Relaxed),
             bucket: self.bucket.swap(0, Ordering::Relaxed),
             bucket_occupancy: self.bucket_occupancy.swap(0, Ordering::Relaxed),
@@ -1022,9 +1001,6 @@ impl TraceRecord {
         if self.direct_bytes > 0 {
             let _ = write!(out, ",\"direct_bytes\":{}", self.direct_bytes);
         }
-        if self.migrated > 0 {
-            let _ = write!(out, ",\"migrated\":{}", self.migrated);
-        }
         if self.fused > 0 {
             let _ = write!(
                 out,
@@ -1384,7 +1360,6 @@ fn parse_record(line: &str) -> Option<TraceRecord> {
         wire_sparse: num(line, "wire_sparse").unwrap_or(0),
         direct_messages: num(line, "direct_messages").unwrap_or(0),
         direct_bytes: num(line, "direct_bytes").unwrap_or(0),
-        migrated: num(line, "migrated").unwrap_or(0),
         fused: num(line, "fused").unwrap_or(0),
         bucket: num(line, "bucket").unwrap_or(0),
         bucket_occupancy: num(line, "bucket_occupancy").unwrap_or(0),
@@ -1554,11 +1529,10 @@ pub mod diff {
     /// `(dst, messages, bytes)` portion: per-pair wire-mode counts stay
     /// diagnostic, like `wire_dense`/`wire_sparse`. With `values_only`
     /// every traffic-, schedule-, and visibility-shaped counter
-    /// (activated, drained, messages, bytes, direct_*, migrated, bucket
-    /// accounting, comm) is skipped: those legitimately differ between
-    /// runs at different replication thresholds or migration settings,
-    /// while the computation-shaped counters and the publication digests
-    /// must not.
+    /// (activated, drained, messages, bytes, direct_*, bucket accounting,
+    /// comm) is skipped: those legitimately differ between runs at
+    /// different replication thresholds or partitions, while the
+    /// computation-shaped counters and the publication digests must not.
     fn counters(r: &TraceRecord, values_only: bool) -> Vec<(&'static str, String)> {
         let mut out = vec![
             ("frontier", r.frontier.to_string()),
@@ -1579,9 +1553,9 @@ pub mod diff {
                 // `activated` is the worker's *locally-known* next
                 // frontier — activations crossing a worker boundary are
                 // still in flight when it is sampled, so its superstep sum
-                // depends on ownership and legitimately shifts when
-                // migration re-homes masters. Visibility-shaped, not
-                // computation-shaped; `frontier` (sampled after remote
+                // depends on ownership and legitimately shifts when a
+                // different partition re-homes masters. Visibility-shaped,
+                // not computation-shaped; `frontier` (sampled after remote
                 // merge) is the ownership-independent counter.
                 ("activated", r.activated.to_string()),
                 ("drained", r.drained.to_string()),
@@ -1589,7 +1563,6 @@ pub mod diff {
                 ("bytes", r.bytes.to_string()),
                 ("direct_messages", r.direct_messages.to_string()),
                 ("direct_bytes", r.direct_bytes.to_string()),
-                ("migrated", r.migrated.to_string()),
                 ("fused", r.fused.to_string()),
                 ("bucket", r.bucket.to_string()),
                 ("bucket_occupancy", r.bucket_occupancy.to_string()),
@@ -1615,14 +1588,14 @@ pub mod diff {
 
     /// Values-only comparison for runs whose *traffic* is expected to
     /// differ — e.g. the same algorithm at two replication thresholds, or
-    /// with and without runtime migration. Compares superstep alignment,
+    /// under two different partitions. Compares superstep alignment,
     /// the computation-shaped counters (frontier, computed,
     /// converged_delta, agg), and the publication digests, skipping every
     /// message/byte/schedule counter — and `activated`, whose local-only
     /// visibility makes even its superstep sum ownership-dependent (see
     /// [`counters`]). Records are aggregated **per
-    /// superstep across workers** before comparing: migration moves a
-    /// master's compute (and its publication digest) to a different
+    /// superstep across workers** before comparing: re-homing a master
+    /// moves its compute (and its publication digest) to a different
     /// worker, so per-worker attribution legitimately shifts while the
     /// superstep-level totals and the merged digest multiset must not.
     /// Per-worker-equal runs trivially aggregate equal, so this remains
@@ -1977,28 +1950,30 @@ mod tests {
     }
 
     #[test]
-    fn migrated_field_round_trips_and_values_only_diff_aggregates_workers() {
-        // Nonzero `migrated` survives JSONL; zero is omitted so
-        // migration-off lines stay byte-identical to pre-migration traces.
-        let mut r = TraceRecord {
+    fn legacy_record_with_migrated_counter_still_parses() {
+        // Traces written by earlier builds may carry a `"migrated"` counter
+        // that records no longer have. The parser looks fields up by key,
+        // so the extra key is ignored and the record parses unchanged.
+        let r = TraceRecord {
             superstep: 3,
-            worker: 0,
-            migrated: 2,
+            worker: 1,
+            computed: 5,
             ..Default::default()
         };
         let mut line = String::new();
         r.to_json(&mut line);
-        assert!(line.contains("\"migrated\":2"));
-        assert_eq!(parse_record_line(&line), Some(r.clone()));
-        r.migrated = 0;
-        line.clear();
-        r.to_json(&mut line);
-        assert!(!line.contains("migrated"));
+        let legacy = line.replacen(",\"checkpoint\"", ",\"migrated\":2,\"checkpoint\"", 1);
+        assert!(legacy.contains("\"migrated\":2"));
+        assert_eq!(parse_record_line(&legacy), Some(r.clone()));
+        assert_eq!(parse_record_line(&line), Some(r));
+    }
 
-        // Migration shifts a vertex's compute (and its publication digest)
-        // between workers mid-run. The full diff flags the per-worker
-        // shift; the values-only diff aggregates per superstep across
-        // workers and sees the runs as equivalent.
+    #[test]
+    fn values_only_diff_aggregates_workers_and_skips_activated() {
+        // A different partition homes a vertex's compute (and its
+        // publication digest) on another worker. The full diff flags the
+        // per-worker shift; the values-only diff aggregates per superstep
+        // across workers and sees the runs as equivalent.
         let mk = |on_worker_one: bool| {
             let rec = |worker, computed, pubs: Vec<(u32, u64)>| TraceRecord {
                 superstep: 0,
@@ -2034,7 +2009,7 @@ mod tests {
         assert_eq!(d.counter, "publication_digest");
         assert_eq!(d.vertex, Some(5));
         // `activated` is local-only visibility: a boundary activation
-        // that goes remote after migration drops out of the sender's
+        // that goes remote under another partition drops out of the sender's
         // count without any computation change, so even the superstep
         // total shifts with ownership. The values-only diff skips it;
         // the full diff still flags it.

@@ -19,13 +19,9 @@
 //! vertex balance.
 
 pub mod edge_cut;
-pub mod migration;
 pub mod multilevel;
 pub mod vertex_cut;
 
 pub use edge_cut::{EdgeCutPartition, EdgeCutPartitioner, HashPartitioner};
-pub use migration::{
-    compute_imbalance, LoadLedger, MigrationBatch, MigrationConfig, MigrationPlanner, VertexMove,
-};
 pub use multilevel::MultilevelPartitioner;
 pub use vertex_cut::{GreedyVertexCut, RandomVertexCut, VertexCutPartition, VertexCutPartitioner};

@@ -55,15 +55,6 @@
 //!                         (`auto` picks the threshold minimizing modeled
 //!                         update traffic; default 0 = replicate every
 //!                         boundary vertex; results identical)
-//!   --migrate off|K|auto  runtime hot-vertex migration (cyclops engine,
-//!                         pagerank/sssp): every K supersteps move hot
-//!                         masters off the most loaded worker and rewire
-//!                         the plan incrementally, decided from
-//!                         deterministic compute counters (`auto` = every
-//!                         8; default off; results bitwise identical)
-//!   --skew F              pile the first F-fraction of the vertices onto
-//!                         worker 0 before running — a deterministic way
-//!                         to manufacture the imbalance --migrate repairs
 //!
 //! algorithm:
 //!   --epsilon F           convergence threshold (pagerank; default 1e-9)
@@ -137,9 +128,6 @@ struct Options {
     bucket_mode: String,
     replicate_threshold: u32,
     replicate_auto: bool,
-    migrate_every: usize,
-    migrate_auto: bool,
-    skew: f64,
     prom: Option<String>,
     listen: Option<String>,
     hot: usize,
@@ -198,11 +186,6 @@ impl Default for Options {
             // 0 = full replication, keeping default runs/traces unchanged.
             replicate_threshold: 0,
             replicate_auto: false,
-            // 0 = migration off, keeping default runs byte-identical.
-            migrate_every: 0,
-            migrate_auto: false,
-            // 0 = no artificial skew; the partitioner's assignment stands.
-            skew: 0.0,
             prom: None,
             listen: None,
             hot: 0,
@@ -328,28 +311,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|e| format!("--replicate-threshold: {e}"))?;
                 }
             }
-            "--migrate" => {
-                let v = value("--migrate")?;
-                match v.as_str() {
-                    "off" => {
-                        opts.migrate_auto = false;
-                        opts.migrate_every = 0;
-                    }
-                    "auto" => {
-                        opts.migrate_auto = true;
-                        opts.migrate_every = 0;
-                    }
-                    _ => {
-                        opts.migrate_auto = false;
-                        opts.migrate_every = v.parse().map_err(|e| format!("--migrate: {e}"))?;
-                    }
-                }
-            }
-            "--skew" => {
-                opts.skew = value("--skew")?
-                    .parse()
-                    .map_err(|e| format!("--skew: {e}"))?
-            }
             "--prom" => opts.prom = Some(value("--prom")?),
             "--listen" => opts.listen = Some(value("--listen")?),
             "--hot" => opts.hot = value("--hot")?.parse().map_err(|e| format!("--hot: {e}"))?,
@@ -398,9 +359,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 "{flag} has no effect with --bucket-width: the bucketed settle ignores it"
             ));
         }
-    }
-    if !opts.skew.is_finite() || opts.skew < 0.0 || opts.skew >= 1.0 {
-        return Err("--skew must be a fraction in [0, 1)".into());
     }
     // Spans ride on the trace file; without one they would vanish.
     if opts.flight && opts.trace.is_none() {
@@ -484,54 +442,10 @@ fn report_hybrid<V, M>(threshold: u32, r: &cyclops_engine::CyclopsResult<V, M>) 
 }
 
 fn build_partition(opts: &Options, g: &Graph, k: usize) -> Result<EdgeCutPartition, String> {
-    let mut p = match opts.partitioner.as_str() {
-        "hash" => HashPartitioner.partition(g, k),
-        "metis" | "multilevel" => MultilevelPartitioner::default().partition(g, k),
-        other => return Err(format!("unknown partitioner {other} (hash|metis)")),
-    };
-    // `--skew f` piles the first f-fraction of the vertices onto worker 0
-    // on top of whatever the partitioner chose — a deterministic way to
-    // manufacture the unbalanced assignments the migration planner exists
-    // to repair (and the skewed bench panel measures).
-    if opts.skew > 0.0 {
-        let cut = (opts.skew * g.num_vertices() as f64) as usize;
-        for a in p.assignment.iter_mut().take(cut) {
-            *a = 0;
-        }
-    }
-    Ok(p)
-}
-
-/// Resolves `--migrate` to a concrete epoch length in supersteps (0 = off).
-/// `auto` re-plans every 8 supersteps — short enough to catch a drifting
-/// hot set, long enough that the per-epoch stop/replan cost amortizes.
-fn resolve_migrate_every(opts: &Options) -> usize {
-    if opts.migrate_auto {
-        println!("migrate: auto -> every 8");
-        8
-    } else {
-        opts.migrate_every
-    }
-}
-
-/// Prints the migration summary line (stable `key=value` fields, greppable
-/// by CI) and publishes the migration metrics to the global registry when
-/// one is installed.
-fn report_migration(report: &cyclops_engine::MigrationReport) {
-    let (before, after) = report.imbalance_span().unwrap_or((0.0, 0.0));
-    println!(
-        "migration: epochs={} moves={} bytes={} imbalance_before={:.6} imbalance_after={:.6}",
-        report.epochs, report.migrations_total, report.migrated_bytes, before, after,
-    );
-    if let Some(reg) = cyclops::obs::global() {
-        reg.counter("cyclops_migrations_total", &[])
-            .inc(report.migrations_total as u64);
-        reg.counter("cyclops_migrated_bytes", &[])
-            .inc(report.migrated_bytes as u64);
-        reg.float_gauge("cyclops_compute_imbalance", &[("when", "before")])
-            .set(before);
-        reg.float_gauge("cyclops_compute_imbalance", &[("when", "after")])
-            .set(after);
+    match opts.partitioner.as_str() {
+        "hash" => Ok(HashPartitioner.partition(g, k)),
+        "metis" | "multilevel" => Ok(MultilevelPartitioner::default().partition(g, k)),
+        other => Err(format!("unknown partitioner {other} (hash|metis)")),
     }
 }
 
@@ -914,21 +828,6 @@ fn run(opts: &Options) -> Result<(), String> {
     if hybrid_requested && !matches!(opts.command.as_str(), "pagerank" | "sssp" | "cc") {
         return Err("--replicate-threshold applies to pagerank, sssp, and cc".into());
     }
-    let migrate_requested = opts.migrate_auto || opts.migrate_every > 0;
-    if migrate_requested && use_hama {
-        return Err("--migrate needs --engine cyclops".into());
-    }
-    // Aggregate-free programs only: migration regroups the per-worker float
-    // reductions, so a program folding a global aggregate could see its
-    // convergence decision drift (see `run_cyclops_migrated_traced`).
-    if migrate_requested && !matches!(opts.command.as_str(), "pagerank" | "sssp") {
-        return Err("--migrate applies to pagerank and sssp".into());
-    }
-    // Migration pauses the classic loop on checkpoint epochs; the bucketed
-    // settle has its own superstep structure.
-    if migrate_requested && (opts.bucket_auto || opts.bucket_width > 0.0) {
-        return Err("--migrate and --bucket-width are mutually exclusive".into());
-    }
     // Install the global metrics registry *before* the engines construct
     // their transports/barriers, so instrumentation handles resolve.
     if opts.prom.is_some() || opts.listen.is_some() {
@@ -985,36 +884,17 @@ fn run(opts: &Options) -> Result<(), String> {
                 (r.values, r.supersteps, r.counters.messages, r.stats)
             } else {
                 let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let every = resolve_migrate_every(opts);
-                let r = if every > 0 {
-                    let (r, migration) = cyclops_algos::pagerank::run_cyclops_pagerank_migrated(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.epsilon,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        every,
-                        cyclops_partition::MigrationConfig::default(),
-                        sink.as_ref(),
-                    );
-                    report_migration(&migration);
-                    r
-                } else {
-                    cyclops_algos::pagerank::run_cyclops_pagerank_tuned(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.epsilon,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        sink.as_ref(),
-                    )
-                };
+                let r = cyclops_algos::pagerank::run_cyclops_pagerank_tuned(
+                    &g,
+                    &partition,
+                    &cluster,
+                    opts.epsilon,
+                    opts.max_supersteps,
+                    sched,
+                    opts.sparse_cutoff,
+                    threshold,
+                    sink.as_ref(),
+                );
                 report_hybrid(threshold, &r);
                 (r.values, r.supersteps, r.counters.messages, r.stats)
             };
@@ -1090,36 +970,17 @@ fn run(opts: &Options) -> Result<(), String> {
                 (r.values, r.supersteps)
             } else {
                 let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let every = resolve_migrate_every(opts);
-                let r = if every > 0 {
-                    let (r, migration) = cyclops_algos::sssp::run_cyclops_sssp_migrated(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.source,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        every,
-                        cyclops_partition::MigrationConfig::default(),
-                        sink.as_ref(),
-                    );
-                    report_migration(&migration);
-                    r
-                } else {
-                    cyclops_algos::sssp::run_cyclops_sssp_tuned(
-                        &g,
-                        &partition,
-                        &cluster,
-                        opts.source,
-                        opts.max_supersteps,
-                        sched,
-                        opts.sparse_cutoff,
-                        threshold,
-                        sink.as_ref(),
-                    )
-                };
+                let r = cyclops_algos::sssp::run_cyclops_sssp_tuned(
+                    &g,
+                    &partition,
+                    &cluster,
+                    opts.source,
+                    opts.max_supersteps,
+                    sched,
+                    opts.sparse_cutoff,
+                    threshold,
+                    sink.as_ref(),
+                );
                 report_hybrid(threshold, &r);
                 (r.values, r.supersteps)
             };
@@ -1296,14 +1157,6 @@ execution:   --engine cyclops|hama  --machines M --workers W
              direct messages instead (auto = modeled-traffic argmin;
              default 0 = replicate every boundary vertex; results
              bitwise identical at every threshold)
-             --migrate off|K|auto  runtime hot-vertex migration (cyclops
-             pagerank/sssp): every K supersteps move hot masters off the
-             most loaded worker and rewire the plan incrementally,
-             decided from deterministic compute counters — never clocks
-             (auto = every 8; default off; results bitwise identical)
-             --skew F  pile the first F-fraction of the vertices onto
-             worker 0 before running (deterministic imbalance for
-             migration experiments; F in [0, 1))
 algorithm:   --epsilon F  --max-supersteps N  --source V  --sweeps N
 output:      --output FILE  --top N  --stats
 tracing:     --trace FILE (pagerank; sssp/cc on cyclops)  --stream  --values
@@ -1341,7 +1194,6 @@ examples:
   cyclops sssp --dataset RoadCA --source 5 --partitioner metis
   cyclops sssp --dataset RoadCA --bucket-width auto --bucket-mode det
   cyclops pagerank --dataset GWeb --replicate-threshold auto
-  cyclops pagerank --dataset GWeb --skew 0.6 --migrate auto
   cyclops gen --dataset Wiki --scale 0.1 --output wiki.txt
   cyclops cc --input wiki.txt --engine hama
   cyclops pagerank --dataset Amazon --trace run-a.jsonl --values
@@ -1505,37 +1357,6 @@ mod tests {
         assert!(parse_args(&args("pagerank --replicate-threshold 2.5")).is_err());
         assert!(parse_args(&args("pagerank --replicate-threshold 5000000000")).is_err());
         assert!(parse_args(&args("pagerank --replicate-threshold")).is_err());
-    }
-
-    #[test]
-    fn parses_and_validates_migrate_and_skew() {
-        // Off by default: static placement, unskewed partition.
-        let o = parse_args(&args("pagerank --dataset GWeb")).unwrap();
-        assert_eq!(o.migrate_every, 0);
-        assert!(!o.migrate_auto);
-        assert_eq!(o.skew, 0.0);
-        let o = parse_args(&args("pagerank --dataset GWeb --migrate 8")).unwrap();
-        assert_eq!(o.migrate_every, 8);
-        assert!(!o.migrate_auto);
-        let o = parse_args(&args("pagerank --dataset GWeb --migrate auto")).unwrap();
-        assert!(o.migrate_auto);
-        assert_eq!(o.migrate_every, 0);
-        let o = parse_args(&args("pagerank --dataset GWeb --migrate off")).unwrap();
-        assert!(!o.migrate_auto);
-        assert_eq!(o.migrate_every, 0);
-        let o = parse_args(&args("pagerank --dataset GWeb --skew 0.6 --migrate auto")).unwrap();
-        assert_eq!(o.skew, 0.6);
-        // Rejections: junk, negative, fractional epoch, missing value.
-        assert!(parse_args(&args("pagerank --migrate nope")).is_err());
-        assert!(parse_args(&args("pagerank --migrate -1")).is_err());
-        assert!(parse_args(&args("pagerank --migrate 2.5")).is_err());
-        assert!(parse_args(&args("pagerank --migrate")).is_err());
-        // Skew is a fraction in [0, 1): reject 1.0 and up, negatives, NaN.
-        assert!(parse_args(&args("pagerank --skew 1.0")).is_err());
-        assert!(parse_args(&args("pagerank --skew -0.1")).is_err());
-        assert!(parse_args(&args("pagerank --skew NaN")).is_err());
-        assert!(parse_args(&args("pagerank --skew nope")).is_err());
-        assert!(parse_args(&args("pagerank --skew")).is_err());
     }
 
     #[test]

@@ -323,59 +323,6 @@ pub fn bucketing(trace: &RunTrace) -> Vec<BucketRow> {
     rows.into_values().collect()
 }
 
-/// One dynamic-migration epoch boundary, reconstructed from the trace.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MigrationRow {
-    /// First superstep *after* the boundary (the superstep whose records
-    /// carry the `migrated` counters).
-    pub superstep: u64,
-    /// Masters moved at this boundary, summed over receiving workers.
-    pub moved: u64,
-    /// Compute-time imbalance (max/mean of worker `cmp` nanoseconds) on
-    /// the last superstep before the boundary; 0 when unmeasurable.
-    pub imbalance_before: f64,
-    /// Compute-time imbalance on the first superstep after the boundary.
-    pub imbalance_after: f64,
-}
-
-/// Max/mean compute-time imbalance across the workers of one superstep
-/// (1.0 = perfectly balanced; 0.0 when the superstep has no compute time).
-fn superstep_compute_imbalance(trace: &RunTrace, superstep: u64) -> f64 {
-    let (mut sum, mut max, mut n) = (0u64, 0u64, 0u64);
-    for r in trace.records.iter().filter(|r| r.superstep == superstep) {
-        sum += r.compute_ns;
-        max = max.max(r.compute_ns);
-        n += 1;
-    }
-    if sum == 0 {
-        0.0
-    } else {
-        max as f64 * n as f64 / sum as f64
-    }
-}
-
-/// The dynamic-migration boundaries of a trace: supersteps whose records
-/// carry nonzero `migrated` counters, with moved-master totals and the
-/// compute-time imbalance on either side of each boundary. Static runs
-/// (and legacy traces) record no `migrated` counters and yield an empty
-/// vec, so their reports are unchanged.
-pub fn migrations(trace: &RunTrace) -> Vec<MigrationRow> {
-    let mut rows: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for r in &trace.records {
-        if r.migrated > 0 {
-            *rows.entry(r.superstep).or_default() += r.migrated;
-        }
-    }
-    rows.into_iter()
-        .map(|(superstep, moved)| MigrationRow {
-            superstep,
-            moved,
-            imbalance_before: superstep_compute_imbalance(trace, superstep.saturating_sub(1)),
-            imbalance_after: superstep_compute_imbalance(trace, superstep),
-        })
-        .collect()
-}
-
 /// One `(src, dst)` cell of the worker-pair communication matrix,
 /// aggregated over the whole run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1062,34 +1009,6 @@ pub fn why_slow_report(trace: &RunTrace) -> String {
     }
     out.push('\n');
 
-    // Migration paragraph — only for `--migrate` traces (static runs
-    // record no `migrated` counters, keeping pre-existing reports
-    // byte-identical).
-    let moves = migrations(trace);
-    if !moves.is_empty() {
-        let moved: u64 = moves.iter().map(|m| m.moved).sum();
-        let _ = writeln!(
-            out,
-            "dynamic migration: {moved} masters moved across {} epoch boundaries \
-             (imbalance = max/mean worker compute time per superstep)",
-            moves.len(),
-        );
-        let _ = writeln!(
-            out,
-            "  {:>5} {:>7} {:>11} {:>11}",
-            "step", "moved", "imb-before", "imb-after"
-        );
-        let tail = moves.len().saturating_sub(16);
-        for m in &moves[tail..] {
-            let _ = writeln!(
-                out,
-                "  {:>5} {:>7} {:>11.2} {:>11.2}",
-                m.superstep, m.moved, m.imbalance_before, m.imbalance_after
-            );
-        }
-        out.push('\n');
-    }
-
     // Memory paragraph — only for `--mem` traces (plain traces carry no
     // samples, keeping pre-existing reports byte-identical).
     if !trace.mem.is_empty() {
@@ -1227,28 +1146,6 @@ pub fn why_slow_json(trace: &RunTrace) -> String {
         );
     }
     out.push_str("\n  ]");
-    // Migration array — only for `--migrate` traces, so goldens from
-    // static runs are unchanged. Imbalance is reported in integer
-    // permille to keep the object float-free.
-    let moves = migrations(trace);
-    if !moves.is_empty() {
-        out.push_str(",\n  \"migrations\": [");
-        for (i, m) in moves.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"superstep\": {}, \"moved\": {}, \
-                 \"imbalance_before_permille\": {}, \"imbalance_after_permille\": {}}}",
-                m.superstep,
-                m.moved,
-                (m.imbalance_before * 1000.0).round() as u64,
-                (m.imbalance_after * 1000.0).round() as u64,
-            );
-        }
-        out.push_str("\n  ]");
-    }
     // Memory object — only for `--mem` traces, so goldens from plain runs
     // are unchanged.
     if !trace.mem.is_empty() {
@@ -1651,41 +1548,6 @@ mod tests {
         // Unbucketed traces degrade to an explicit off line / empty array.
         assert!(why_slow_report(&skewed_trace()).contains("bucketed execution: off"));
         assert!(why_slow_json(&skewed_trace()).contains("\"bucketing\": [\n  ]"));
-    }
-
-    #[test]
-    fn migrations_aggregate_and_surface_in_reports() {
-        let mut trace = skewed_trace();
-        // Boundary before superstep 1: 3 masters landed on worker 0, 2 on
-        // worker 1. Superstep 0 compute is 900/100ns (imbalance 1.8);
-        // superstep 1 is 80/20ns (imbalance 1.6).
-        trace.records[2].migrated = 3;
-        trace.records[3].migrated = 2;
-        let rows = migrations(&trace);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].superstep, 1);
-        assert_eq!(rows[0].moved, 5);
-        assert!((rows[0].imbalance_before - 1.8).abs() < 1e-9, "{rows:?}");
-        assert!((rows[0].imbalance_after - 1.6).abs() < 1e-9, "{rows:?}");
-        let report = why_slow_report(&trace);
-        assert!(
-            report.contains("dynamic migration: 5 masters moved across 1 epoch boundaries"),
-            "{report}"
-        );
-        assert!(report.contains("imb-before"), "{report}");
-        let j = why_slow_json(&trace);
-        assert!(
-            j.contains(
-                "{\"superstep\": 1, \"moved\": 5, \"imbalance_before_permille\": 1800, \
-                 \"imbalance_after_permille\": 1600}"
-            ),
-            "{j}"
-        );
-        // Static runs keep their reports byte-identical: no paragraph, no
-        // JSON key at all (goldens from pre-migration traces still match).
-        assert!(migrations(&skewed_trace()).is_empty());
-        assert!(!why_slow_report(&skewed_trace()).contains("dynamic migration"));
-        assert!(!why_slow_json(&skewed_trace()).contains("migrations"));
     }
 
     #[test]

@@ -175,7 +175,50 @@ fn network_model_changes_time_not_results() {
     );
     assert_eq!(ideal.values, modeled.values);
     assert_eq!(ideal.counters.messages, modeled.counters.messages);
-    assert!(modeled.elapsed > ideal.elapsed);
+    // The gigabit wire adds only microseconds here, less than scheduling
+    // noise on a small host, so the time comparison uses a slow wire whose
+    // delay, sized from the run's own cross-machine byte counter, is
+    // about 100 ms, far above the ideal run's time at this scale.
+    let bandwidth = 1e5; // bytes/s
+    let slow = cyclops_engine::run_cyclops(
+        &cyclops_algos::pagerank::CyclopsPageRank { epsilon: 0.0 },
+        &g,
+        &p,
+        &cyclops_engine::CyclopsConfig {
+            cluster,
+            max_supersteps: 10,
+            network: cyclops_net::NetworkModel {
+                bandwidth_bytes_per_sec: Some(bandwidth),
+                batch_latency: std::time::Duration::ZERO,
+                per_message: std::time::Duration::ZERO,
+            },
+            ..Default::default()
+        },
+    );
+    assert_eq!(ideal.values, slow.values);
+    assert_eq!(ideal.counters.messages, slow.counters.messages);
+    assert_eq!(ideal.counters.bytes, slow.counters.bytes);
+    // Each worker's single sender thread sleeps for its batches' modeled
+    // transmission time, so the run takes at least the busiest worker's
+    // share: at least total bytes / bandwidth / workers.
+    let wire = std::time::Duration::from_secs_f64(
+        slow.counters.bytes as f64 / bandwidth / cluster.num_workers() as f64,
+    );
+    assert!(
+        wire >= std::time::Duration::from_millis(50),
+        "wire floor {wire:?} too small to measure"
+    );
+    assert!(
+        slow.elapsed >= wire,
+        "slow wire took {:?}, below its modeled floor {wire:?}",
+        slow.elapsed
+    );
+    assert!(
+        slow.elapsed > ideal.elapsed,
+        "slow wire {:?} vs ideal {:?}",
+        slow.elapsed,
+        ideal.elapsed
+    );
 }
 
 #[test]

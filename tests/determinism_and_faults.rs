@@ -58,7 +58,7 @@ fn cyclops_crash_recovery_from_every_checkpoint() {
             &p,
             &CyclopsConfig {
                 checkpoint_every: None,
-                ..config.clone()
+                ..config
             },
             cp,
         );

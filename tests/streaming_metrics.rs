@@ -402,7 +402,7 @@ fn max_supersteps_is_a_global_cap_across_cyclops_resume() {
         &p,
         &CyclopsConfig {
             checkpoint_every: None,
-            ..config.clone()
+            ..config
         },
         cp,
     );

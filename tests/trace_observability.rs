@@ -197,7 +197,7 @@ fn checkpoint_resume_is_deterministic_under_sharded_mt_cluster() {
             &p,
             &CyclopsConfig {
                 checkpoint_every: None,
-                ..config.clone()
+                ..config
             },
             cp,
         );

@@ -104,29 +104,6 @@ pub fn run_cyclops_cc_sched(
     sched: cyclops_engine::Sched,
     trace: Option<&cyclops_net::trace::TraceSink>,
 ) -> CyclopsResult<u32, u32> {
-    run_cyclops_cc_tuned(
-        graph,
-        partition,
-        cluster,
-        sched,
-        CyclopsConfig::default().sparse_cutoff,
-        0,
-        trace,
-    )
-}
-
-/// [`run_cyclops_cc_sched`] with an explicit sparse-superstep cutoff
-/// (fraction of local masters; `0.0` disables the fast path) and hybrid
-/// replication degree threshold (`0` replicates every boundary vertex).
-pub fn run_cyclops_cc_tuned(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<u32, u32> {
     cyclops_engine::run_cyclops_traced(
         &CyclopsComponents,
         graph,
@@ -135,8 +112,6 @@ pub fn run_cyclops_cc_tuned(
             cluster: *cluster,
             max_supersteps: 100_000,
             sched,
-            sparse_cutoff,
-            replicate_threshold,
             ..Default::default()
         },
         trace,

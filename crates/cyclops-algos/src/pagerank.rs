@@ -211,34 +211,6 @@ pub fn run_cyclops_pagerank_sched(
     sched: cyclops_engine::Sched,
     trace: Option<&TraceSink>,
 ) -> CyclopsResult<f64, f64> {
-    run_cyclops_pagerank_tuned(
-        graph,
-        partition,
-        cluster,
-        epsilon,
-        max_supersteps,
-        sched,
-        CyclopsConfig::default().sparse_cutoff,
-        0,
-        trace,
-    )
-}
-
-/// [`run_cyclops_pagerank_sched`] with an explicit sparse-superstep cutoff
-/// (fraction of local masters; `0.0` disables the fast path) and hybrid
-/// replication degree threshold (`0` replicates every boundary vertex).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_pagerank_tuned(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    epsilon: f64,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    trace: Option<&TraceSink>,
-) -> CyclopsResult<f64, f64> {
     run_cyclops_traced(
         &CyclopsPageRank { epsilon },
         graph,
@@ -248,8 +220,6 @@ pub fn run_cyclops_pagerank_tuned(
             max_supersteps,
             convergence: Convergence::ActiveVertices,
             sched,
-            sparse_cutoff,
-            replicate_threshold,
             ..Default::default()
         },
         trace,

@@ -212,34 +212,6 @@ pub fn run_cyclops_sssp_sched(
     sched: cyclops_engine::Sched,
     trace: Option<&cyclops_net::trace::TraceSink>,
 ) -> CyclopsResult<f64, f64> {
-    run_cyclops_sssp_tuned(
-        graph,
-        partition,
-        cluster,
-        source,
-        max_supersteps,
-        sched,
-        CyclopsConfig::default().sparse_cutoff,
-        0,
-        trace,
-    )
-}
-
-/// [`run_cyclops_sssp_sched`] with an explicit sparse-superstep cutoff
-/// (fraction of local masters; `0.0` disables the fast path) and hybrid
-/// replication degree threshold (`0` replicates every boundary vertex).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cyclops_sssp_tuned(
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    source: VertexId,
-    max_supersteps: usize,
-    sched: cyclops_engine::Sched,
-    sparse_cutoff: f64,
-    replicate_threshold: u32,
-    trace: Option<&cyclops_net::trace::TraceSink>,
-) -> CyclopsResult<f64, f64> {
     cyclops_engine::run_cyclops_traced(
         &CyclopsSssp { source },
         graph,
@@ -248,8 +220,6 @@ pub fn run_cyclops_sssp_tuned(
             cluster: *cluster,
             max_supersteps,
             sched,
-            sparse_cutoff,
-            replicate_threshold,
             ..Default::default()
         },
         trace,
@@ -290,7 +260,6 @@ pub fn run_cyclops_sssp_bucketed(
     max_supersteps: usize,
     bucket_width: f64,
     bucket_mode: cyclops_net::BucketMode,
-    replicate_threshold: u32,
     trace: Option<&cyclops_net::trace::TraceSink>,
 ) -> CyclopsResult<f64, f64> {
     let width = if bucket_width > 0.0 {
@@ -310,7 +279,6 @@ pub fn run_cyclops_sssp_bucketed(
             // `auto` no longer trusts the static 8x-mean seed: the engine
             // retunes the width at bucket advances from live occupancy.
             bucket_adapt: bucket_width <= 0.0,
-            replicate_threshold,
             ..Default::default()
         },
         trace,
@@ -441,8 +409,7 @@ mod tests {
         let cluster = ClusterSpec::flat(2, 2);
         let flat = run_cyclops_sssp(&g, &p, &cluster, 0, 10_000);
         for mode in [cyclops_net::BucketMode::Det, cyclops_net::BucketMode::Fast] {
-            let bucketed =
-                run_cyclops_sssp_bucketed(&g, &p, &cluster, 0, 10_000, 0.0, mode, 0, None);
+            let bucketed = run_cyclops_sssp_bucketed(&g, &p, &cluster, 0, 10_000, 0.0, mode, None);
             assert_eq!(flat.values, bucketed.values, "mode {mode:?}");
             assert!(
                 bucketed.supersteps < flat.supersteps,
@@ -483,7 +450,6 @@ mod tests {
             10_000,
             0.0,
             cyclops_net::BucketMode::Det,
-            0,
             None,
         );
         assert_distances_match(&r.values, &reference::sssp(&g, 0));

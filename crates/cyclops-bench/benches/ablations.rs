@@ -20,9 +20,7 @@
 //!    replaced (the encoder computes both sizes exactly, so one run
 //!    reports both),
 //! 10. **bucketed execution** — delta-stepping priority buckets vs one
-//!     barrier per hop on the high-diameter SSSP workload,
-//! 11. **hybrid replication** — full boundary replication vs the degree
-//!     threshold that messages cold boundary vertices directly.
+//!     barrier per hop on the high-diameter SSSP workload.
 
 use cyclops_algos::pagerank::{BspPageRank, CyclopsPageRank};
 use cyclops_bench::report::{self, Table};
@@ -410,7 +408,6 @@ fn main() {
         100_000,
         width,
         cyclops_net::BucketMode::Det,
-        0,
         None,
     );
     assert_eq!(
@@ -446,70 +443,5 @@ fn main() {
          \x20 priority bucket to a fixpoint behind a single barrier pair, so the\n\
          \x20 ~diameter-long chain of near-empty supersteps collapses; distances\n\
          \x20 are bitwise identical — asserted above)"
-    );
-
-    // ---- 11. Hybrid replication degree threshold. ----
-    // Convergence epsilon, not the quick-mode one: a messaged vertex trades
-    // standing per-superstep replica costs for a one-shot direct frame, so
-    // the byte balance only settles once the run is long enough to amortize
-    // the frame's fixed bytes.
-    report::subheading(
-        "hybrid replication: full vs degree-threshold (PR to convergence on GWeb, 12 workers)",
-    );
-    let auto = p.auto_replicate_threshold(&g);
-    let pr_workload = workloads::Workload {
-        dataset: Dataset::GWeb,
-        algo: workloads::Algo::PageRank,
-    };
-    let mut table = Table::new(&[
-        "threshold",
-        "repl factor",
-        "replicated",
-        "messaged",
-        "messages",
-        "bytes",
-        "direct bytes",
-        "time (s)",
-    ]);
-    let mut baseline_values: Option<Vec<f64>> = None;
-    for (label, t) in [
-        ("0 (full)".to_string(), 0),
-        ("2".to_string(), 2),
-        ("8".to_string(), 8),
-        (format!("auto ({auto})"), auto),
-    ] {
-        let r = workloads::run_on_cyclops_threshold(
-            &pr_workload,
-            &g,
-            &p,
-            &cluster,
-            t,
-            workloads::PR_CONVERGENCE_EPSILON,
-        );
-        let values = r.values_f64.clone().unwrap();
-        match &baseline_values {
-            None => baseline_values = Some(values),
-            Some(base) => assert_eq!(
-                base, &values,
-                "hybrid results must be bitwise identical at threshold {t}"
-            ),
-        }
-        let ingress = r.ingress.unwrap();
-        table.row(vec![
-            label,
-            format!("{:.3}", r.replication_factor),
-            report::count(ingress.replicated_boundary),
-            report::count(ingress.messaged_boundary),
-            report::count(r.counters.messages),
-            report::count(r.counters.bytes),
-            report::count(r.direct_bytes),
-            report::secs(r.elapsed),
-        ]);
-    }
-    table.print();
-    println!(
-        "  (cold boundary vertices — combined degree below the threshold — lose\n\
-         \x20 their replicas and are reached by direct messages instead; ranks are\n\
-         \x20 bitwise identical at every threshold — asserted above)"
     );
 }

@@ -11,9 +11,6 @@
 //! Panel 1b diffs the fresh Cyclops bytes/time per workload against the
 //! committed baseline at the workspace root (override its path with
 //! `CYCLOPS_BENCH_BASELINE`).
-//! PageRank/SSSP rows also carry hybrid-replication fields (replication
-//! factor and total bytes at the auto degree threshold, asserted bitwise
-//! identical to the full-replication run).
 
 use cyclops_bench::report::{self, JsonReport, Table};
 use cyclops_bench::workloads::{self, run_on_cyclops, run_on_hama};
@@ -54,7 +51,7 @@ fn main() {
             report::speedup(hama.elapsed.as_secs_f64() / cy.elapsed.as_secs_f64()),
             report::speedup(hama.elapsed.as_secs_f64() / mt.elapsed.as_secs_f64()),
         ]);
-        let mut row = vec![
+        json.row(vec![
             ("workload", format!("{} {}", w.algo, w.dataset).into()),
             ("hama_s", hama.elapsed.as_secs_f64().into()),
             ("cyclops_s", cy.elapsed.as_secs_f64().into()),
@@ -72,31 +69,7 @@ fn main() {
             ("hama_bytes", hama.counters.bytes.into()),
             ("cyclops_bytes", cy.counters.bytes.into()),
             ("cyclops_replication_factor", cy.replication_factor.into()),
-        ];
-        // Hybrid replication at the auto threshold — PageRank and SSSP have
-        // tuned entry points. Both sides run at the convergence epsilon
-        // (messaging a cold vertex trades standing per-superstep replica
-        // costs for a one-shot direct frame, so the byte balance is a
-        // steady-state property): `hybrid_bytes` counts replica updates AND
-        // direct messages and compares against `hybrid_full_bytes`, the
-        // threshold-0 run at identical settings.
-        if matches!(w.algo, workloads::Algo::PageRank | workloads::Algo::Sssp) {
-            let eps = workloads::PR_CONVERGENCE_EPSILON;
-            let auto = p48.auto_replicate_threshold(&g);
-            let full = workloads::run_on_cyclops_threshold(&w, &g, &p48, &flat, 0, eps);
-            let hy = workloads::run_on_cyclops_threshold(&w, &g, &p48, &flat, auto, eps);
-            if let Some(v) = (full.values_f64.as_ref()).zip(hy.values_f64.as_ref()) {
-                assert_eq!(v.0, v.1, "hybrid results must be bitwise identical");
-            }
-            row.extend([
-                ("hybrid_auto_threshold", u64::from(auto).into()),
-                ("hybrid_replication_factor", hy.replication_factor.into()),
-                ("hybrid_full_bytes", full.counters.bytes.into()),
-                ("hybrid_bytes", hy.counters.bytes.into()),
-                ("hybrid_direct_bytes", hy.direct_bytes.into()),
-            ]);
-        }
-        json.row(row);
+        ]);
         current.push((
             format!("{} {}", w.algo, w.dataset),
             cy.elapsed.as_secs_f64(),

@@ -102,95 +102,4 @@ fn main() {
          \x20 <=1 for Cyclops -> ~5-6x message ratio. (Cy replicas counted per the\n\
          \x20 edge-cut definition, PG per vertex-cut incl. masters, as the paper does.)"
     );
-
-    // ---- Replication factor vs hybrid degree threshold. ----
-    // Cold boundary vertices (combined degree below the threshold) lose their
-    // replicas and fall back to direct messages, so the factor can only fall
-    // as the threshold rises; `auto` picks the traffic-model minimum.
-    report::subheading("Replication factor vs --replicate-threshold (hash partition, 48 workers)");
-    let thresholds: &[u32] = &[0, 2, 4, 8, 16, 64];
-    let mut header: Vec<String> = vec!["dataset".into()];
-    header.extend(thresholds.iter().map(|t| format!("t={t}")));
-    header.push("auto".into());
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut sweep_table = Table::new(&header_refs);
-    for w in &workloads::paper_workloads()[..4] {
-        let g = workloads::gen_graph(w.dataset, fraction);
-        let p = HashPartitioner.partition(&g, 48);
-        let mut row = vec![w.dataset.to_string()];
-        row.extend(
-            p.replication_factor_sweep(&g, thresholds)
-                .iter()
-                .map(|(_, f)| format!("{f:.3}")),
-        );
-        let auto = p.auto_replicate_threshold(&g);
-        row.push(format!(
-            "{:.3} (t={auto})",
-            p.replication_factor_at_threshold(&g, auto)
-        ));
-        sweep_table.row(row);
-    }
-    sweep_table.print();
-    println!(
-        "  t=0 is full replication (the paper's immutable view); higher thresholds\n\
-         \x20 trade replicas for direct messages on cold boundary vertices."
-    );
-
-    // ---- Memory vs replication threshold. ----
-    // The replication factor sweep above counts replicas; this panel prices
-    // them, using the same capacity-exact `memory_breakdown` audit that the
-    // `--mem` tracking allocator is tested against. "boundary" is the sum of
-    // the `Replicas` and `DirectSlots` ledgers: everything the hybrid
-    // threshold can trade, and the bytes the paper's Table 4 memory column
-    // is about.
-    report::subheading("Plan memory vs --replicate-threshold (hash partition, 48 workers)");
-    // Arming makes `attribute_memory` re-materialize every plan vector at
-    // exact capacity, so the breakdown reports the ledger itself rather
-    // than builder growth slack. One-way and process-global — which is why
-    // this panel runs after all the timed sections above.
-    cyclops_obs::mem::arm();
-    let mut mem_table = Table::new(&[
-        "dataset",
-        "full boundary",
-        "auto boundary",
-        "t=8 boundary",
-        "auto replicas",
-        "auto direct",
-        "auto saving",
-    ]);
-    for w in &workloads::paper_workloads()[..4] {
-        let g = workloads::gen_graph(w.dataset, fraction);
-        let p = HashPartitioner.partition(&g, 48);
-        let auto = p.auto_replicate_threshold(&g);
-        let boundary = |t: u32| {
-            let b = cyclops_engine::CyclopsPlan::build_parallel_with_threshold(&g, &p, t)
-                .memory_breakdown();
-            (b.replicas + b.direct_slots, b.replicas, b.direct_slots)
-        };
-        let (full, _, _) = boundary(0);
-        let (auto_total, auto_reps, auto_direct) = boundary(auto);
-        let (t8, _, _) = boundary(8);
-        assert!(
-            auto_total < full,
-            "{}: auto threshold {auto} must shrink boundary memory \
-             ({auto_total} vs {full} bytes at t=0)",
-            w.dataset
-        );
-        mem_table.row(vec![
-            w.dataset.to_string(),
-            report::bytes(full),
-            format!("{} (t={auto})", report::bytes(auto_total)),
-            report::bytes(t8),
-            report::bytes(auto_reps),
-            report::bytes(auto_direct),
-            format!("{:.1}%", 100.0 * (full - auto_total) as f64 / full as f64),
-        ]);
-    }
-    mem_table.print();
-    println!(
-        "  boundary = Replicas + DirectSlots bytes from CyclopsPlan::memory_breakdown\n\
-         \x20 (capacity-exact; equals what the --mem allocator tracks). auto drops cold\n\
-         \x20 replicas for slim direct slots, so its boundary bytes sit strictly below\n\
-         \x20 full replication on every power-law graph."
-    );
 }

@@ -3,9 +3,7 @@
 
 use cyclops_algos::als::{run_bsp_als, run_cyclops_als, AlsParams};
 use cyclops_algos::cd::{run_bsp_cd, run_cyclops_cd};
-use cyclops_algos::pagerank::{
-    run_bsp_pagerank, run_cyclops_pagerank, run_cyclops_pagerank_tuned, run_gas_pagerank,
-};
+use cyclops_algos::pagerank::{run_bsp_pagerank, run_cyclops_pagerank, run_gas_pagerank};
 use cyclops_algos::sssp::{run_bsp_sssp, run_cyclops_sssp_bucketed, run_gas_sssp};
 use cyclops_engine::IngressStats;
 use cyclops_graph::{Dataset, Graph};
@@ -16,10 +14,6 @@ use std::time::Duration;
 
 /// PageRank local/global error threshold used across the experiments.
 pub const PR_EPSILON: f64 = 1e-4;
-/// Tight PageRank threshold for steady-state comparisons (hybrid
-/// replication): runs to full convergence (~50+ supersteps) so per-superstep
-/// standing costs dominate one-shot setup costs, as in a production run.
-pub const PR_CONVERGENCE_EPSILON: f64 = 1e-8;
 /// PageRank superstep cap.
 pub const PR_MAX_SUPERSTEPS: usize = 150;
 /// Community-detection sweep cap.
@@ -153,11 +147,6 @@ pub struct Outcome {
     pub stats: Vec<SuperstepStats>,
     /// Replication factor (0 for BSP, which has no replicas).
     pub replication_factor: f64,
-    /// Direct messages sent for cold boundary vertices (hybrid replication;
-    /// 0 unless a Cyclops engine ran with a nonzero threshold).
-    pub direct_messages: usize,
-    /// Wire bytes of those direct messages.
-    pub direct_bytes: usize,
     /// Ingress breakdown (Cyclops engines only).
     pub ingress: Option<IngressStats>,
     /// Final values as f64 when the algorithm is PageRank/SSSP (for
@@ -182,8 +171,6 @@ pub fn run_on_hama(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: 0.0,
-                direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }
@@ -196,8 +183,6 @@ pub fn run_on_hama(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: 0.0,
-                direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: None,
             }
@@ -210,8 +195,6 @@ pub fn run_on_hama(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: 0.0,
-                direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: None,
             }
@@ -224,8 +207,6 @@ pub fn run_on_hama(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: 0.0,
-                direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }
@@ -250,8 +231,6 @@ pub fn run_on_cyclops(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: Some(r.values),
             }
@@ -264,8 +243,6 @@ pub fn run_on_cyclops(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: None,
             }
@@ -278,8 +255,6 @@ pub fn run_on_cyclops(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: None,
             }
@@ -298,7 +273,6 @@ pub fn run_on_cyclops(
                 100_000,
                 0.0,
                 cyclops_net::BucketMode::Det,
-                0,
                 None,
             );
             Outcome {
@@ -307,70 +281,10 @@ pub fn run_on_cyclops(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: r.replication_factor,
-                direct_messages: r.direct_messages,
-                direct_bytes: r.direct_bytes,
                 ingress: Some(r.ingress),
                 values_f64: Some(r.values),
             }
         }
-    }
-}
-
-/// [`run_on_cyclops`] with a hybrid replication degree threshold (PageRank
-/// and SSSP — the workloads with tuned entry points; the hybrid ablations
-/// run on those, so others panic rather than silently ignoring the
-/// threshold).
-///
-/// `pr_epsilon` sets the PageRank convergence threshold (ignored by SSSP).
-/// Hybrid comparisons should run both sides at
-/// [`PR_CONVERGENCE_EPSILON`]: messaging a cold vertex trades a replica's
-/// *standing* costs (its presence bit in every dense batch, all run) for a
-/// one-shot direct frame, so the byte balance is a steady-state property —
-/// the quick-mode [`PR_EPSILON`] stops after a handful of supersteps,
-/// before the standing savings amortize the direct frame's fixed bytes.
-pub fn run_on_cyclops_threshold(
-    workload: &Workload,
-    graph: &Graph,
-    partition: &EdgeCutPartition,
-    cluster: &ClusterSpec,
-    threshold: u32,
-    pr_epsilon: f64,
-) -> Outcome {
-    let from_result = |r: cyclops_engine::CyclopsResult<f64, f64>| Outcome {
-        elapsed: r.elapsed,
-        supersteps: r.supersteps,
-        counters: r.counters,
-        stats: r.stats,
-        replication_factor: r.replication_factor,
-        direct_messages: r.direct_messages,
-        direct_bytes: r.direct_bytes,
-        ingress: Some(r.ingress),
-        values_f64: Some(r.values),
-    };
-    match workload.algo {
-        Algo::PageRank => from_result(run_cyclops_pagerank_tuned(
-            graph,
-            partition,
-            cluster,
-            pr_epsilon,
-            PR_MAX_SUPERSTEPS,
-            cyclops_engine::Sched::default(),
-            cyclops_engine::CyclopsConfig::default().sparse_cutoff,
-            threshold,
-            None,
-        )),
-        Algo::Sssp => from_result(run_cyclops_sssp_bucketed(
-            graph,
-            partition,
-            cluster,
-            SSSP_SOURCE,
-            100_000,
-            0.0,
-            cyclops_net::BucketMode::Det,
-            threshold,
-            None,
-        )),
-        _ => panic!("hybrid replication runs are wired for PageRank and SSSP only"),
     }
 }
 
@@ -391,8 +305,6 @@ pub fn run_on_gas(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: r.replication_factor,
-                direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }
@@ -405,8 +317,6 @@ pub fn run_on_gas(
                 counters: r.counters,
                 stats: r.stats,
                 replication_factor: r.replication_factor,
-                direct_messages: 0,
-                direct_bytes: 0,
                 ingress: None,
                 values_f64: Some(r.values),
             }

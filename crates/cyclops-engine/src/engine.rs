@@ -32,9 +32,8 @@ use cyclops_net::metrics::CounterSnapshot;
 use cyclops_net::metrics::PhaseHists;
 use cyclops_net::trace::{digest_bytes, TraceSink};
 use cyclops_net::{
-    AggregateStats, BucketMode, ClusterSpec, Codec, DirectMessage, DisjointSlots,
-    HierarchicalBarrier, InboxMode, Phase, PhaseTimes, ReplicaUpdate, SchedObs, SendReceipt,
-    SuperstepStats, Transport, WireMode,
+    AggregateStats, BucketMode, ClusterSpec, Codec, DisjointSlots, HierarchicalBarrier, InboxMode,
+    Phase, PhaseTimes, ReplicaUpdate, SchedObs, SendReceipt, SuperstepStats, Transport, WireMode,
 };
 use cyclops_obs::mem::{Component, MemScope};
 use cyclops_obs::{SpanKind, SpanRing};
@@ -142,16 +141,6 @@ pub struct CyclopsConfig {
     /// Bucket drain discipline: deterministic (trace-diff-checkable) or
     /// fast same-round chaining. Ignored while `bucket_width == 0.0`.
     pub bucket_mode: BucketMode,
-    /// Degree threshold of hybrid replication: a boundary vertex whose
-    /// combined (in + out) degree is below the threshold gets **no**
-    /// replica — its cross-worker in-edges read a per-worker direct-message
-    /// table fed by per-edge `DirectBatch` sends instead of the one-sync-
-    /// per-mirror replica path. `0` (the default) is full replication,
-    /// byte-identical to the pre-hybrid engine. Results are bitwise
-    /// identical at every threshold; only the wire traffic and the replica
-    /// memory change. Ignored by the `run_cyclops_with_plan*` entry points,
-    /// which take a pre-built plan.
-    pub replicate_threshold: u32,
     /// Auto-retune the delta-stepping bucket width Δ from the live bucket
     /// occupancy (`--bucket-width auto`): a bucket that drains far more
     /// mass than the running average over many fused rounds halves Δ, a
@@ -174,7 +163,6 @@ impl Default for CyclopsConfig {
             sparse_cutoff: 0.015,
             bucket_width: 0.0,
             bucket_mode: BucketMode::Det,
-            replicate_threshold: 0,
             bucket_adapt: false,
         }
     }
@@ -191,14 +179,8 @@ pub struct CyclopsResult<V, M> {
     pub supersteps: usize,
     /// Per-superstep statistics, aggregated over workers.
     pub stats: Vec<SuperstepStats>,
-    /// Whole-run transport counters — replica-update and direct-message
-    /// transports merged (totals add, queue peaks take the max).
+    /// Whole-run transport counters.
     pub counters: CounterSnapshot,
-    /// Direct messages sent over the run (hybrid replication's cold-vertex
-    /// path; 0 under full replication).
-    pub direct_messages: usize,
-    /// Cross-machine wire bytes of those direct-message batches.
-    pub direct_bytes: usize,
     /// Wall-clock time of the superstep loop (excludes ingress).
     pub elapsed: Duration,
     /// Ingress phase breakdown (LD / REP / INIT) and replica counts.
@@ -240,12 +222,6 @@ struct WorkerShared<V, M> {
     msg_next: DisjointSlots<Option<M>>,
     /// Replica publications (updated by receiver threads).
     rep_msg: DisjointSlots<Option<M>>,
-    /// Direct-message slots (hybrid replication): the publications of cold
-    /// boundary in-neighbors, updated by receiver threads under the same
-    /// at-most-one-message-per-slot-per-superstep discipline as `rep_msg`
-    /// (one source master per slot, one batch per sender per superstep).
-    /// Empty under full replication.
-    direct_msg: DisjointSlots<Option<M>>,
     /// Owner-sharded double-buffered activation frontier: activations route
     /// to the owning thread's shard list, so snapshotting is O(frontier)
     /// with no scan-and-skip and no single contended list.
@@ -271,11 +247,6 @@ struct WorkerShared<V, M> {
     /// deterministic under dynamic chunk claiming.
     #[allow(clippy::type_complexity)]
     outboxes: Vec<Vec<Mutex<Vec<ReplicaUpdate<M>>>>>,
-    /// Direct-message analogue of `outboxes`, same `[dest][thread]` layout
-    /// and one-batch-per-destination flush discipline. Deposits stay empty
-    /// under full replication (no master has a `direct_out` list).
-    #[allow(clippy::type_complexity)]
-    direct_outboxes: Vec<Vec<Mutex<Vec<DirectMessage<M>>>>>,
     /// Whether this superstep runs on the sparse fast path (decided by the
     /// worker leader at frontier snapshot, read by every thread after the
     /// post-snapshot barrier).
@@ -296,8 +267,7 @@ pub fn run_cyclops<P: CyclopsProgram>(
     partition: &EdgeCutPartition,
     config: &CyclopsConfig,
 ) -> CyclopsResult<P::Value, P::Message> {
-    let plan =
-        CyclopsPlan::build_parallel_with_threshold(graph, partition, config.replicate_threshold);
+    let plan = CyclopsPlan::build_parallel(graph, partition);
     run_cyclops_with_plan(program, graph, &plan, config, None)
 }
 
@@ -310,8 +280,7 @@ pub fn run_cyclops_traced<P: CyclopsProgram>(
     config: &CyclopsConfig,
     trace: Option<&TraceSink>,
 ) -> CyclopsResult<P::Value, P::Message> {
-    let plan =
-        CyclopsPlan::build_parallel_with_threshold(graph, partition, config.replicate_threshold);
+    let plan = CyclopsPlan::build_parallel(graph, partition);
     run_cyclops_with_plan_traced(program, graph, &plan, config, None, trace)
 }
 
@@ -325,8 +294,7 @@ pub fn run_cyclops_from_checkpoint<P: CyclopsProgram>(
     config: &CyclopsConfig,
     checkpoint: &CyclopsCheckpoint<P::Value, P::Message>,
 ) -> CyclopsResult<P::Value, P::Message> {
-    let plan =
-        CyclopsPlan::build_parallel_with_threshold(graph, partition, config.replicate_threshold);
+    let plan = CyclopsPlan::build_parallel(graph, partition);
     run_cyclops_with_plan(program, graph, &plan, config, Some(checkpoint))
 }
 
@@ -407,7 +375,6 @@ pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
             msg_cur: DisjointSlots::new(msgs.clone()),
             msg_next: DisjointSlots::new(msgs),
             rep_msg: DisjointSlots::new(Vec::new()), // filled below
-            direct_msg: DisjointSlots::new(Vec::new()), // filled below
             frontier,
             flat: parking_lot::RwLock::new(Vec::new()),
             ends: parking_lot::RwLock::new(Vec::new()),
@@ -417,12 +384,6 @@ pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
                 .collect(),
             cmp_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             outboxes: {
-                let _mem = MemScope::enter(Component::SendPool);
-                (0..num_workers)
-                    .map(|_| (0..threads).map(|_| Mutex::new(Vec::new())).collect())
-                    .collect()
-            },
-            direct_outboxes: {
                 let _mem = MemScope::enter(Component::SendPool);
                 (0..num_workers)
                     .map(|_| (0..threads).map(|_| Mutex::new(Vec::new())).collect())
@@ -465,34 +426,11 @@ pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
                 .collect()
         };
         shared[w].rep_msg = DisjointSlots::new(reps);
-        // Direct slots seed the same way: each slot starts at its source
-        // master's current publication, so superstep 0 (and a checkpoint
-        // resume) reads the identical immutable view the replica path
-        // would have provided.
-        let dirs: Vec<Option<P::Message>> = {
-            let _mem = MemScope::enter(Component::DirectSlots);
-            plan.workers[w]
-                .direct_source
-                .iter()
-                .map(|&u| {
-                    let ow = plan.owner[u as usize] as usize;
-                    let li = plan.local_of[u as usize] as usize;
-                    shared[ow].msg_cur.read(li).clone()
-                })
-                .collect()
-        };
-        shared[w].direct_msg = DisjointSlots::new(dirs);
     }
     let mut ingress = plan.ingress;
     ingress.init = init_start.elapsed();
 
     let transport: Transport<ReplicaUpdate<P::Message>> =
-        Transport::with_pooling(spec, InboxMode::Sharded, config.network, config.pooled);
-    // Second transport for hybrid replication's direct-message batches.
-    // Same lanes, same pooled-send contract, its own `DirectBatch` framing;
-    // completely idle (and allocation-free past construction) when the plan
-    // has no direct slots.
-    let direct_transport: Transport<DirectMessage<P::Message>> =
         Transport::with_pooling(spec, InboxMode::Sharded, config.network, config.pooled);
     let barrier = HierarchicalBarrier::new(num_workers, threads);
 
@@ -540,7 +478,6 @@ pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
                     let shared = &shared;
                     let plan_ref = plan;
                     let transport = &transport;
-                    let direct_transport = &direct_transport;
                     let barrier = &barrier;
                     let stop = &stop;
                     let computed_total = &computed_total;
@@ -572,7 +509,6 @@ pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
                             config,
                             shared,
                             transport,
-                            direct_transport,
                             barrier,
                             stop,
                             computed_total,
@@ -608,15 +544,12 @@ pub(crate) fn run_cyclops_settled<P: CyclopsProgram>(
             publications[v as usize] = msgs[i].clone();
         }
     }
-    let direct_snap = direct_transport.counters().snapshot();
     CyclopsResult {
         values: values.into_iter().map(Option::unwrap).collect(),
         publications,
         supersteps: supersteps_done.load(Ordering::Acquire),
         stats: history.into_inner(),
-        counters: transport.counters().snapshot().merge(&direct_snap),
-        direct_messages: direct_snap.messages,
-        direct_bytes: direct_snap.bytes,
+        counters: transport.counters().snapshot(),
         elapsed,
         ingress,
         replication_factor: plan.replication_factor(graph),
@@ -640,7 +573,6 @@ struct ThreadEnv<'a, P: CyclopsProgram> {
     config: &'a CyclopsConfig,
     shared: &'a [WorkerShared<P::Value, P::Message>],
     transport: &'a Transport<ReplicaUpdate<P::Message>>,
-    direct_transport: &'a Transport<DirectMessage<P::Message>>,
     barrier: &'a HierarchicalBarrier,
     stop: &'a AtomicBool,
     computed_total: &'a AtomicUsize,
@@ -681,11 +613,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
     let mut superstep = env.start_superstep;
     let mut outboxes: Vec<Vec<ReplicaUpdate<P::Message>>> =
         (0..num_workers).map(|_| Vec::new()).collect();
-    let mut direct_outboxes: Vec<Vec<DirectMessage<P::Message>>> =
-        (0..num_workers).map(|_| Vec::new()).collect();
-    // Whether this worker can ever produce or receive direct messages —
-    // lets a full-replication run skip the whole second publication path.
-    let hybrid = env.plan.workers.iter().any(|p| p.num_direct_slots() > 0);
     let mut updated: Vec<u32> = Vec::new();
     // Scratch buffer for values-mode publication digests, reused across
     // publications and supersteps (this used to be a fresh `BytesMut` per
@@ -720,9 +647,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
             ws.msg_cur.begin_epoch();
             ws.msg_next.begin_epoch();
             ws.rep_msg.begin_epoch();
-            if hybrid {
-                ws.direct_msg.begin_epoch();
-            }
         }
         let checkpoint_now = match env.config.checkpoint_every {
             Some(every) => {
@@ -752,27 +676,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                     if upd.activate {
                         for &lo in wp.rep_out(upd.replica as usize) {
                             ws.frontier.mark(cur_parity, lo as usize);
-                        }
-                    }
-                }
-            }
-            if hybrid {
-                for (_, batch) in env.direct_transport.drain_lanes_partitioned(
-                    env.w,
-                    superstep,
-                    env.t,
-                    env.receivers,
-                ) {
-                    drained += batch.len() as u64;
-                    for dm in batch {
-                        // SAFETY: each direct slot belongs to exactly one
-                        // remote master (one slot per cross edge), masters
-                        // publish at most once per superstep, and lanes
-                        // touching the same slot are handled by one receiver.
-                        unsafe { ws.direct_msg.write(dm.slot as usize, Some(dm.payload)) };
-                        if dm.activate {
-                            ws.frontier
-                                .mark(cur_parity, wp.direct_target[dm.slot as usize] as usize);
                         }
                     }
                 }
@@ -922,7 +825,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                             value,
                             msg_cur: &ws.msg_cur,
                             rep_msg: &ws.rep_msg,
-                            direct_msg: &ws.direct_msg,
                             publish: &mut publish,
                             reported_error: &mut reported,
                             aggregate: &mut part.agg,
@@ -970,17 +872,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                                 true,
                             ));
                         }
-                        // ...and one direct message per cross edge into a
-                        // cold (unreplicated) neighbor's inbox slot.
-                        if hybrid {
-                            for &(dw, slot) in wp.direct_out(li) {
-                                direct_outboxes[dw as usize].push(DirectMessage::new(
-                                    slot,
-                                    m.clone(),
-                                    true,
-                                ));
-                            }
-                        }
                     }
                 }
                 // Publish the chunk's float partial into its slot; the
@@ -1015,13 +906,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
             for (dest, batch) in outboxes.iter_mut().enumerate() {
                 if !batch.is_empty() {
                     std::mem::swap(&mut *ws.outboxes[dest][env.t].lock(), batch);
-                }
-            }
-            if hybrid {
-                for (dest, batch) in direct_outboxes.iter_mut().enumerate() {
-                    if !batch.is_empty() {
-                        std::mem::swap(&mut *ws.direct_outboxes[dest][env.t].lock(), batch);
-                    }
                 }
             }
             times.add(Phase::Send, deposit_start.elapsed());
@@ -1072,28 +956,9 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                         }
                     }
                 }
-                if hybrid {
-                    for (dest, batch) in direct_outboxes.iter_mut().enumerate() {
-                        if !batch.is_empty() {
-                            let sent = batch.len();
-                            let receipt = env.direct_transport.send(
-                                lane,
-                                dest,
-                                std::mem::take(batch),
-                                superstep,
-                            );
-                            if let Some(tr) = tracer {
-                                tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                                tr.add_direct(sent as u64, receipt.bytes as u64);
-                                record_wire_mode(tr, dest, receipt);
-                            }
-                        }
-                    }
-                }
             }
         } else {
             let mut flush: Vec<ReplicaUpdate<P::Message>> = Vec::new();
-            let mut dflush: Vec<DirectMessage<P::Message>> = Vec::new();
             for dest in (env.t..num_workers).step_by(env.threads) {
                 flush.clear();
                 for slot in &ws.outboxes[dest] {
@@ -1107,26 +972,6 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                     if let Some(tr) = tracer {
                         tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
                         record_wire_mode(tr, dest, receipt);
-                    }
-                }
-                if hybrid {
-                    dflush.clear();
-                    for slot in &ws.direct_outboxes[dest] {
-                        dflush.append(&mut slot.lock());
-                    }
-                    if !dflush.is_empty() {
-                        let sent = dflush.len();
-                        let receipt = env.direct_transport.send(
-                            lane,
-                            dest,
-                            std::mem::take(&mut dflush),
-                            superstep,
-                        );
-                        if let Some(tr) = tracer {
-                            tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                            tr.add_direct(sent as u64, receipt.bytes as u64);
-                            record_wire_mode(tr, dest, receipt);
-                        }
                     }
                 }
             }
@@ -1222,11 +1067,7 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                 None
             };
 
-            let snap = env
-                .transport
-                .counters()
-                .snapshot()
-                .merge(&env.direct_transport.counters().snapshot());
+            let snap = env.transport.counters().snapshot();
             let mut last = env.last_counters.lock();
             let mut cur = env.current.lock();
             cur.superstep = superstep;
@@ -1246,8 +1087,7 @@ fn thread_loop<P: CyclopsProgram>(env: ThreadEnv<'_, P>) {
                     mean_err.map(|e| e <= epsilon).unwrap_or(false)
                 }
             };
-            let drained =
-                total_next == 0 && env.transport.all_empty() && env.direct_transport.all_empty();
+            let drained = total_next == 0 && env.transport.all_empty();
             // A *global* cap on the superstep index: resumed runs continue
             // toward the same cap rather than getting a fresh budget.
             let capped = superstep + 1 >= env.config.max_supersteps;
@@ -1407,9 +1247,6 @@ struct WorkerBucket<M> {
     updated: Vec<u32>,
     /// Scratch: per-destination replica-update outboxes, reused per round.
     outboxes: Vec<Vec<ReplicaUpdate<M>>>,
-    /// Scratch: per-destination direct-message outboxes (hybrid
-    /// replication), reused per round.
-    direct_outboxes: Vec<Vec<DirectMessage<M>>>,
     // This superstep's trace accumulators, reset at every settle start.
     drained: u64,
     occupancy: u64,
@@ -1435,7 +1272,6 @@ impl<M> WorkerBucket<M> {
             dirty: Vec::new(),
             updated: Vec::new(),
             outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
-            direct_outboxes: (0..num_workers).map(|_| Vec::new()).collect(),
             drained: 0,
             occupancy: 0,
             computed: 0,
@@ -1634,7 +1470,6 @@ struct SettleCtx {
     /// Selection generation (occupancy dedup) of this superstep.
     gen: u64,
     fast_mode: bool,
-    hybrid: bool,
     agg_in: Option<AggregateStats>,
     capture_values: bool,
 }
@@ -1660,7 +1495,6 @@ fn settle_bucket<P: CyclopsProgram>(
         end_key: okey((global.bucket + 1) as f64 * global.delta),
         gen: superstep as u64 + 1,
         fast_mode: env.config.bucket_mode == BucketMode::Fast,
-        hybrid: env.plan.workers.iter().any(|wp| wp.num_direct_slots() > 0),
         agg_in: *env.prev_aggregate.lock(),
         capture_values: env.trace.map(|s| s.captures_values()).unwrap_or(false),
     };
@@ -1736,8 +1570,8 @@ fn settle_bucket<P: CyclopsProgram>(
             sched.round_selected[parity ^ 1].store(0, Ordering::Relaxed);
         }
         // With nothing selected anywhere no thread sends this round, so the
-        // transports cannot change under this check on any thread.
-        if total_selected == 0 && env.transport.all_empty() && env.direct_transport.all_empty() {
+        // transport cannot change under this check on any thread.
+        if total_selected == 0 && env.transport.all_empty() {
             break;
         }
         rounds += 1;
@@ -1819,25 +1653,6 @@ fn drain_and_select<P: CyclopsProgram>(
             }
         }
     }
-    if cx.hybrid {
-        ws.direct_msg.begin_epoch();
-        let batch = env.direct_transport.drain(w, epoch);
-        wb.drained += batch.len() as u64;
-        for dm in batch {
-            let key = env
-                .program
-                .priority(&dm.payload)
-                .map(okey)
-                .unwrap_or(IMMEDIATE);
-            let slot = dm.slot as usize;
-            // SAFETY: single owner, fresh epoch, and the dirty-list dedup
-            // sends at most one message per slot per round.
-            unsafe { ws.direct_msg.write(slot, Some(dm.payload)) };
-            if dm.activate {
-                wb.mark(wp.direct_target[slot] as usize, key);
-            }
-        }
-    }
     let mut sel = std::mem::take(&mut wb.selected);
     sel.clear();
     wb.select(cx.end_key, &mut sel);
@@ -1908,7 +1723,6 @@ fn compute_and_send<P: CyclopsProgram>(
                     value,
                     msg_cur: &ws.msg_cur,
                     rep_msg: &ws.rep_msg,
-                    direct_msg: &ws.direct_msg,
                     publish: &mut publish,
                     reported_error: &mut reported,
                     aggregate: &mut wb.partial.agg,
@@ -1982,11 +1796,6 @@ fn compute_and_send<P: CyclopsProgram>(
             for &(mw, rep_idx) in wp.mirrors(li) {
                 wb.outboxes[mw as usize].push(ReplicaUpdate::new(rep_idx, m.clone(), true));
             }
-            if cx.hybrid {
-                for &(dw, slot) in wp.direct_out(li) {
-                    wb.direct_outboxes[dw as usize].push(DirectMessage::new(slot, m.clone(), true));
-                }
-            }
         }
     }
     drop(outbox_mem);
@@ -2002,22 +1811,6 @@ fn compute_and_send<P: CyclopsProgram>(
                 let tr = trace.worker(w);
                 tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
                 record_wire_mode(tr, dest, receipt);
-            }
-        }
-    }
-    if cx.hybrid {
-        for (dest, batch) in wb.direct_outboxes.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                let sent = batch.len();
-                let receipt = env
-                    .direct_transport
-                    .send(lane, dest, std::mem::take(batch), epoch);
-                if let Some(trace) = env.trace {
-                    let tr = trace.worker(w);
-                    tr.add_sent_to(dest, sent as u64, receipt.bytes as u64);
-                    tr.add_direct(sent as u64, receipt.bytes as u64);
-                    record_wire_mode(tr, dest, receipt);
-                }
             }
         }
     }
@@ -2069,11 +1862,7 @@ fn finish_bucket_superstep<P: CyclopsProgram>(
             .add(Phase::Sync, settle_elapsed.saturating_sub(work));
     }
 
-    let snap = env
-        .transport
-        .counters()
-        .snapshot()
-        .merge(&env.direct_transport.counters().snapshot());
+    let snap = env.transport.counters().snapshot();
     let mut last = env.last_counters.lock();
     let mut stats = SuperstepStats {
         superstep,
@@ -2134,8 +1923,7 @@ fn finish_bucket_superstep<P: CyclopsProgram>(
         Convergence::GlobalError { epsilon } => mean_err.map(|e| e <= epsilon).unwrap_or(false),
     };
     let all_parked_empty = workers.iter().all(|wb| wb.pending.is_empty());
-    let drained_all =
-        all_parked_empty && env.transport.all_empty() && env.direct_transport.all_empty();
+    let drained_all = all_parked_empty && env.transport.all_empty();
     let capped = superstep + 1 >= env.config.max_supersteps || budget_exhausted;
     let stop = drained_all || converged_enough || capped;
     if !stop {
@@ -2316,68 +2104,6 @@ mod tests {
         // Ring with hash partition over 4 workers: every vertex's successor
         // is remote, so one replica each.
         assert!((r.replication_factor - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hybrid_thresholds_match_full_replication_classic() {
-        let g = clique(16);
-        for cluster in [ClusterSpec::flat(4, 1), ClusterSpec::mt(2, 2, 1)] {
-            let p = HashPartitioner.partition(&g, cluster.num_workers());
-            let run = |threshold: u32| {
-                run_cyclops(
-                    &MaxPull,
-                    &g,
-                    &p,
-                    &CyclopsConfig {
-                        cluster,
-                        replicate_threshold: threshold,
-                        ..Default::default()
-                    },
-                )
-            };
-            let full = run(0);
-            assert_eq!(full.direct_messages, 0);
-            assert_eq!(full.ingress.messaged_boundary, 0);
-            for threshold in [2u32, 8, u32::MAX] {
-                let hybrid = run(threshold);
-                assert_eq!(full.values, hybrid.values, "threshold {threshold}");
-                assert_eq!(full.supersteps, hybrid.supersteps, "threshold {threshold}");
-                assert_eq!(
-                    hybrid.ingress.replicated_boundary + hybrid.ingress.messaged_boundary,
-                    full.ingress.replicated_boundary,
-                    "threshold {threshold}: boundary split must partition the boundary"
-                );
-            }
-            // Every clique vertex has combined degree 30, so u32::MAX
-            // demotes all of them — all sync traffic rides the direct path.
-            let all_direct = run(u32::MAX);
-            assert!(all_direct.direct_messages > 0);
-            assert!(all_direct.replication_factor == 0.0);
-        }
-    }
-
-    #[test]
-    fn hybrid_thresholds_match_full_replication_bucketed() {
-        let base = CyclopsConfig {
-            cluster: ClusterSpec::flat(4, 1),
-            bucket_width: 2.0,
-            ..Default::default()
-        };
-        let full = run_mindist(&base);
-        assert_eq!(full.direct_messages, 0);
-        for threshold in [2u32, 8, u32::MAX] {
-            let hybrid = run_mindist(&CyclopsConfig {
-                replicate_threshold: threshold,
-                ..base
-            });
-            assert_eq!(full.values, hybrid.values, "threshold {threshold}");
-        }
-        let all_direct = run_mindist(&CyclopsConfig {
-            replicate_threshold: u32::MAX,
-            ..base
-        });
-        assert!(all_direct.direct_messages > 0);
-        assert!(all_direct.direct_bytes > 0);
     }
 
     /// Complete directed graph on `n` vertices.
@@ -2971,61 +2697,56 @@ mod tests {
         for cluster in [ClusterSpec::flat(3, 2), ClusterSpec::mt(5, 2, 1)] {
             let w = cluster.num_workers();
             let part = HashPartitioner.partition(&g, w);
-            for threshold in [0, 5] {
-                let plan = CyclopsPlan::build_parallel_with_threshold(&g, &part, threshold);
-                for mode in [BucketMode::Det, BucketMode::Fast] {
-                    for every in [None, Some(2)] {
-                        let sssp_config = CyclopsConfig {
-                            cluster,
-                            bucket_width: 1.5,
-                            bucket_mode: mode,
-                            checkpoint_every: every,
-                            ..Default::default()
-                        };
-                        let bfs_config = CyclopsConfig {
-                            bucket_width: 1.0,
-                            ..sssp_config
-                        };
-                        let case = format!("{cluster:?} t={threshold} {mode:?} ckpt={every:?}");
-                        let sssp = |p| settled(&MinDist { source: 0 }, &g, &plan, &sssp_config, p);
-                        let bfs = |p| settled(&MinHops { source: 0 }, &g, &plan, &bfs_config, p);
-                        let (s1, st1, sf1) = sssp(1);
-                        let (b1, bt1, bf1) = bfs(1);
-                        assert!(sf1[5] > sf1[0], "{case}: some bucket fuses rounds");
-                        if threshold > 0 {
-                            assert!(s1.direct_messages > 0, "{case}: hybrid path exercised");
-                        }
-                        if every.is_some() {
-                            assert!(!s1.checkpoints.is_empty(), "{case}: checkpoints taken");
-                        }
-                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        let cps = |r: &CyclopsResult<f64, f64>| {
-                            r.checkpoints
-                                .iter()
-                                .map(|c| (c.superstep, c.vertices.clone()))
-                                .collect::<Vec<_>>()
-                        };
-                        for p in [2, 3, 4, w] {
-                            let (s, st, sf) = sssp(p);
-                            assert_eq!(bits(&s.values), bits(&s1.values), "{case} P={p} sssp");
-                            assert_eq!(sf, sf1, "{case} P={p} sssp counts");
-                            assert_eq!(cps(&s), cps(&s1), "{case} P={p} sssp checkpoints");
-                            let (b, bt, bf) = bfs(p);
-                            assert_eq!(b.values, b1.values, "{case} P={p} bfs");
-                            assert_eq!(bf, bf1, "{case} P={p} bfs counts");
-                            for (a, b, name) in [(&st1, &st, "sssp"), (&bt1, &bt, "bfs")] {
+            let plan = CyclopsPlan::build_parallel(&g, &part);
+            for mode in [BucketMode::Det, BucketMode::Fast] {
+                for every in [None, Some(2)] {
+                    let sssp_config = CyclopsConfig {
+                        cluster,
+                        bucket_width: 1.5,
+                        bucket_mode: mode,
+                        checkpoint_every: every,
+                        ..Default::default()
+                    };
+                    let bfs_config = CyclopsConfig {
+                        bucket_width: 1.0,
+                        ..sssp_config
+                    };
+                    let case = format!("{cluster:?} {mode:?} ckpt={every:?}");
+                    let sssp = |p| settled(&MinDist { source: 0 }, &g, &plan, &sssp_config, p);
+                    let bfs = |p| settled(&MinHops { source: 0 }, &g, &plan, &bfs_config, p);
+                    let (s1, st1, sf1) = sssp(1);
+                    let (b1, bt1, bf1) = bfs(1);
+                    assert!(sf1[5] > sf1[0], "{case}: some bucket fuses rounds");
+                    if every.is_some() {
+                        assert!(!s1.checkpoints.is_empty(), "{case}: checkpoints taken");
+                    }
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let cps = |r: &CyclopsResult<f64, f64>| {
+                        r.checkpoints
+                            .iter()
+                            .map(|c| (c.superstep, c.vertices.clone()))
+                            .collect::<Vec<_>>()
+                    };
+                    for p in [2, 3, 4, w] {
+                        let (s, st, sf) = sssp(p);
+                        assert_eq!(bits(&s.values), bits(&s1.values), "{case} P={p} sssp");
+                        assert_eq!(sf, sf1, "{case} P={p} sssp counts");
+                        assert_eq!(cps(&s), cps(&s1), "{case} P={p} sssp checkpoints");
+                        let (b, bt, bf) = bfs(p);
+                        assert_eq!(b.values, b1.values, "{case} P={p} bfs");
+                        assert_eq!(bf, bf1, "{case} P={p} bfs counts");
+                        for (a, b, name) in [(&st1, &st, "sssp"), (&bt1, &bt, "bfs")] {
+                            assert_eq!(
+                                diff::first_divergence(a, b, false),
+                                None,
+                                "{case} P={p} {name} counter trace"
+                            );
+                            if mode == BucketMode::Det {
                                 assert_eq!(
-                                    diff::first_divergence(a, b, false),
+                                    diff::first_divergence(a, b, true),
                                     None,
-                                    "{case} P={p} {name} counter trace"
+                                    "{case} P={p} {name} values trace"
                                 );
-                                if mode == BucketMode::Det {
-                                    assert_eq!(
-                                        diff::first_divergence(a, b, true),
-                                        None,
-                                        "{case} P={p} {name} values trace"
-                                    );
-                                }
                             }
                         }
                     }

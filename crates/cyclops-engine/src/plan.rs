@@ -11,7 +11,6 @@
 use cyclops_graph::{Graph, VertexId};
 use cyclops_obs::mem::{self, Component, MemScope};
 use cyclops_partition::EdgeCutPartition;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// A resolved in-edge reference: where a vertex finds one in-neighbor's
@@ -22,10 +21,6 @@ pub enum InRef {
     Master(u32),
     /// The in-neighbor is a read-only replica on this worker (replica index).
     Replica(u32),
-    /// The in-neighbor is a cold boundary vertex with no replica here: its
-    /// publication arrives as a per-edge direct message into this slot of
-    /// the worker's direct-message table (hybrid replication).
-    Direct(u32),
 }
 
 /// One worker's slice of the distributed immutable view.
@@ -62,21 +57,6 @@ pub struct WorkerPlan {
     pub rep_out_offsets: Vec<u32>,
     /// Local master indices activated by each replica.
     pub rep_out: Vec<u32>,
-
-    /// Global id of the source vertex feeding each direct-message slot
-    /// (hybrid replication; one slot per cross-worker in-edge from a cold
-    /// boundary vertex). Used to seed the slots at INIT and after a
-    /// checkpoint resume, exactly like replica seeding.
-    pub direct_source: Vec<VertexId>,
-    /// Local master index each direct slot's activation targets.
-    pub direct_target: Vec<u32>,
-
-    /// CSR offsets into `direct_out`, one per master + 1.
-    pub direct_out_offsets: Vec<u32>,
-    /// `(worker, direct slot on that worker)` destinations of each cold
-    /// master's cross-worker out-edges — the per-edge fan-out that replaces
-    /// the `mirrors` sync for vertices below the replication threshold.
-    pub direct_out: Vec<(u32, u32)>,
 
     /// Per-master compute cost estimate for degree-weighted scheduling:
     /// in-degree + local activation fan-out + mirror count + 1 (the
@@ -138,20 +118,6 @@ impl WorkerPlan {
         &self.rep_out[self.rep_out_offsets[rep] as usize..self.rep_out_offsets[rep + 1] as usize]
     }
 
-    /// Number of direct-message slots on this worker.
-    #[inline]
-    pub fn num_direct_slots(&self) -> usize {
-        self.direct_source.len()
-    }
-
-    /// Remote direct-message destinations of master `local` as
-    /// `(worker, slot)`; empty for replicated (hot) masters.
-    #[inline]
-    pub fn direct_out(&self, local: usize) -> &[(u32, u32)] {
-        &self.direct_out
-            [self.direct_out_offsets[local] as usize..self.direct_out_offsets[local + 1] as usize]
-    }
-
     /// Total work mass across all masters on this worker.
     #[inline]
     pub fn total_work_mass(&self) -> u64 {
@@ -168,11 +134,7 @@ impl WorkerPlan {
         prefix.push(0u64);
         for li in 0..n {
             let (s, e) = self.in_ref_range(li);
-            let m = (e - s)
-                + self.local_out(li).len()
-                + self.mirrors(li).len()
-                + self.direct_out(li).len()
-                + 1;
+            let m = (e - s) + self.local_out(li).len() + self.mirrors(li).len() + 1;
             mass.push(m as u32);
             prefix.push(prefix[li] + m as u64);
         }
@@ -197,10 +159,6 @@ impl WorkerPlan {
                 + vec_bytes(&self.mirrors)
                 + vec_bytes(&self.rep_out_offsets)
                 + vec_bytes(&self.rep_out),
-            direct_slots: vec_bytes(&self.direct_source)
-                + vec_bytes(&self.direct_target)
-                + vec_bytes(&self.direct_out_offsets)
-                + vec_bytes(&self.direct_out),
         }
     }
 
@@ -228,10 +186,6 @@ impl WorkerPlan {
         retag(&mut self.mirrors, Component::Replicas);
         retag(&mut self.rep_out_offsets, Component::Replicas);
         retag(&mut self.rep_out, Component::Replicas);
-        retag(&mut self.direct_source, Component::DirectSlots);
-        retag(&mut self.direct_target, Component::DirectSlots);
-        retag(&mut self.direct_out_offsets, Component::DirectSlots);
-        retag(&mut self.direct_out, Component::DirectSlots);
     }
 }
 
@@ -247,15 +201,6 @@ pub struct IngressStats {
     pub init: Duration,
     /// Total replicas created across all workers.
     pub total_replicas: usize,
-    /// Boundary vertices that kept their replicas (combined degree at or
-    /// above the replication threshold). Equals the boundary-vertex count
-    /// at threshold 0.
-    pub replicated_boundary: usize,
-    /// Boundary vertices below the threshold, rewired to direct messages.
-    pub messaged_boundary: usize,
-    /// Total direct-message slots across all workers (one per cross-worker
-    /// in-edge from a cold boundary vertex).
-    pub total_direct_slots: usize,
 }
 
 impl IngressStats {
@@ -268,8 +213,8 @@ impl IngressStats {
 /// Exact byte counts of a plan's heap storage, split by memory
 /// [`Component`] — the static half of the memory ledger. Computed from
 /// vector capacities, so after [`CyclopsPlan::attribute_memory`] (armed
-/// runs) it equals the tracking allocator's `Plan`/`Replicas`/
-/// `DirectSlots` live bytes *exactly*; tests pin that equality.
+/// runs) it equals the tracking allocator's `Plan`/`Replicas` live bytes
+/// *exactly*; tests pin that equality.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryBreakdown {
     /// Master lists, in-edge CSRs, local activation fan-out, work-mass
@@ -278,22 +223,18 @@ pub struct MemoryBreakdown {
     /// Replica id lists, mirror fan-out, and replica activation CSRs — the
     /// storage that exists because boundary vertices are replicated.
     pub replicas: usize,
-    /// Direct-slot source/target tables and sender-side destination CSRs —
-    /// the storage that exists because cold boundary vertices are messaged.
-    pub direct_slots: usize,
 }
 
 impl MemoryBreakdown {
     /// All components summed.
     pub fn total(&self) -> usize {
-        self.plan + self.replicas + self.direct_slots
+        self.plan + self.replicas
     }
 
     /// Component-wise accumulation.
     pub fn merge(&mut self, other: &MemoryBreakdown) {
         self.plan += other.plan;
         self.replicas += other.replicas;
-        self.direct_slots += other.direct_slots;
     }
 }
 
@@ -317,70 +258,9 @@ pub struct CyclopsPlan {
     pub ingress: IngressStats,
 }
 
-/// Direct-slot key: `(source owner, source vertex, target local index,
-/// occurrence)` — one per cross-worker in-edge from a cold boundary vertex,
-/// unique even on multigraphs thanks to the occurrence counter. Sender and
-/// receiver derive the same key independently from their own edge lists, so
-/// the sorted key table plays the role the shared replica index plays for
-/// hot vertices.
-type DirectKey = (u32, VertexId, u32, u32);
-
-/// Cold flags plus `(replicated, messaged)` boundary-vertex counts at
-/// `threshold`: a vertex is cold when it has a cross-worker out-edge and
-/// its combined (in + out) degree is below the threshold. Threshold 0 marks
-/// nothing cold — full replication.
-fn classify_cold(graph: &Graph, owner: &[u32], threshold: u32) -> (Vec<bool>, usize, usize) {
-    let mut cold = vec![false; graph.num_vertices()];
-    let (mut replicated, mut messaged) = (0usize, 0usize);
-    for u in graph.vertices() {
-        let home = owner[u as usize];
-        if !graph
-            .out_neighbors(u)
-            .iter()
-            .any(|&x| owner[x as usize] != home)
-        {
-            continue;
-        }
-        if ((graph.out_degree(u) + graph.in_degree(u)) as u64) < threshold as u64 {
-            cold[u as usize] = true;
-            messaged += 1;
-        } else {
-            replicated += 1;
-        }
-    }
-    (cold, replicated, messaged)
-}
-
-/// Worker `w`'s sorted direct-slot key table: one key per cross-worker
-/// in-edge from a cold vertex, discovered from the receiver's in-edge lists.
-fn direct_keys(
-    graph: &Graph,
-    owner: &[u32],
-    w: usize,
-    masters: &[VertexId],
-    cold: &[bool],
-) -> Vec<DirectKey> {
-    let mut keys = Vec::new();
-    let mut occ: HashMap<VertexId, u32> = HashMap::new();
-    for (li, &v) in masters.iter().enumerate() {
-        occ.clear();
-        for &u in graph.in_neighbors(v) {
-            let p = owner[u as usize];
-            if p as usize != w && cold[u as usize] {
-                let c = occ.entry(u).or_insert(0);
-                keys.push((p, u, li as u32, *c));
-                *c += 1;
-            }
-        }
-    }
-    keys.sort_unstable();
-    keys
-}
-
-/// Resolves worker `w`'s in-edge references against its replica list and
-/// direct-slot key table. Returns `(offsets, refs, weights)`. Shared by both
-/// builders so serial and parallel plans stay field-identical.
-#[allow(clippy::too_many_arguments)]
+/// Resolves worker `w`'s in-edge references against its replica list.
+/// Returns `(offsets, refs, weights)`. Shared by both builders so serial and
+/// parallel plans stay field-identical.
 fn wire_in_refs(
     graph: &Graph,
     owner: &[u32],
@@ -388,29 +268,18 @@ fn wire_in_refs(
     w: usize,
     masters: &[VertexId],
     replicas: &[VertexId],
-    keys: &[DirectKey],
-    cold: &[bool],
 ) -> (Vec<u32>, Vec<InRef>, Vec<f64>) {
     let weighted = graph.is_weighted();
     let mut offsets = Vec::with_capacity(masters.len() + 1);
     let mut refs = Vec::new();
     let mut weights = Vec::new();
-    let mut occ: HashMap<VertexId, u32> = HashMap::new();
     offsets.push(0u32);
-    for (li, &v) in masters.iter().enumerate() {
+    for &v in masters {
         let srcs = graph.in_neighbors(v);
         let ws = graph.in_weights(v);
-        occ.clear();
         for (i, &u) in srcs.iter().enumerate() {
-            let p = owner[u as usize];
-            if p as usize == w {
+            if owner[u as usize] as usize == w {
                 refs.push(InRef::Master(local_of[u as usize]));
-            } else if cold[u as usize] {
-                let c = occ.entry(u).or_insert(0);
-                let key = (p, u, li as u32, *c);
-                *c += 1;
-                let slot = keys.binary_search(&key).expect("direct slot exists") as u32;
-                refs.push(InRef::Direct(slot));
             } else {
                 let ri = replicas.binary_search(&u).expect("replica exists") as u32;
                 refs.push(InRef::Replica(ri));
@@ -424,85 +293,50 @@ fn wire_in_refs(
     (offsets, refs, weights)
 }
 
-/// Wires worker `w`'s sender side: local activation fan-out plus, per
-/// master, either the mirror list (hot) or the direct-message destinations
-/// (cold). Returns
-/// `(local_out_offsets, local_out, mirror_offsets, mirrors,
-///   direct_out_offsets, direct_out)`.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// Wires worker `w`'s sender side: local activation fan-out plus the mirror
+/// list of each master. Returns
+/// `(local_out_offsets, local_out, mirror_offsets, mirrors)`.
+#[allow(clippy::type_complexity)]
 fn wire_out(
     graph: &Graph,
     owner: &[u32],
     local_of: &[u32],
     w: usize,
     masters: &[VertexId],
-    cold: &[bool],
     replica_lists: &[Vec<VertexId>],
-    key_lists: &[Vec<DirectKey>],
-) -> (
-    Vec<u32>,
-    Vec<u32>,
-    Vec<u32>,
-    Vec<(u32, u32)>,
-    Vec<u32>,
-    Vec<(u32, u32)>,
-) {
+) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<(u32, u32)>) {
     let mut lo_off = vec![0u32];
     let mut lo = Vec::new();
     let mut mir_off = vec![0u32];
     let mut mir: Vec<(u32, u32)> = Vec::new();
-    let mut d_off = vec![0u32];
-    let mut d_out: Vec<(u32, u32)> = Vec::new();
     let mut mirror_workers: Vec<u32> = Vec::new();
-    let mut occ: HashMap<VertexId, u32> = HashMap::new();
-    // Deduplicate multigraph local fan-out: activation is idempotent, keep
-    // the list small.
-    fn push_local(lo: &mut Vec<u32>, start: u32, xi: u32) {
-        if lo[start as usize..].iter().all(|&e| e != xi) {
-            lo.push(xi);
-        }
-    }
     for &u in masters {
-        let lo_start = *lo_off.last().unwrap();
-        if cold[u as usize] {
-            occ.clear();
-            for &x in graph.out_neighbors(u) {
-                let p = owner[x as usize];
-                if p as usize == w {
-                    push_local(&mut lo, lo_start, local_of[x as usize]);
-                } else {
-                    let c = occ.entry(x).or_insert(0);
-                    let key = (w as u32, u, local_of[x as usize], *c);
-                    *c += 1;
-                    let slot = key_lists[p as usize]
-                        .binary_search(&key)
-                        .expect("direct slot exists") as u32;
-                    d_out.push((p, slot));
+        let lo_start = *lo_off.last().unwrap() as usize;
+        mirror_workers.clear();
+        for &x in graph.out_neighbors(u) {
+            let p = owner[x as usize];
+            if p as usize == w {
+                // Deduplicate multigraph local fan-out: activation is
+                // idempotent, keep the list small.
+                let xi = local_of[x as usize];
+                if lo[lo_start..].iter().all(|&e| e != xi) {
+                    lo.push(xi);
                 }
+            } else if !mirror_workers.contains(&p) {
+                mirror_workers.push(p);
             }
-        } else {
-            mirror_workers.clear();
-            for &x in graph.out_neighbors(u) {
-                let p = owner[x as usize];
-                if p as usize == w {
-                    push_local(&mut lo, lo_start, local_of[x as usize]);
-                } else if !mirror_workers.contains(&p) {
-                    mirror_workers.push(p);
-                }
-            }
-            mirror_workers.sort_unstable();
-            for &p in &mirror_workers {
-                let ri = replica_lists[p as usize]
-                    .binary_search(&u)
-                    .expect("mirror replica exists") as u32;
-                mir.push((p, ri));
-            }
+        }
+        mirror_workers.sort_unstable();
+        for &p in &mirror_workers {
+            let ri = replica_lists[p as usize]
+                .binary_search(&u)
+                .expect("mirror replica exists") as u32;
+            mir.push((p, ri));
         }
         lo_off.push(lo.len() as u32);
         mir_off.push(mir.len() as u32);
-        d_off.push(d_out.len() as u32);
     }
-    (lo_off, lo, mir_off, mir, d_off, d_out)
+    (lo_off, lo, mir_off, mir)
 }
 
 /// Wires worker `w`'s replica activation fan-out: the local out-neighbors
@@ -545,19 +379,6 @@ impl CyclopsPlan {
     /// worker's replica list exists. Produces exactly the same plan as
     /// [`Self::build`].
     pub fn build_parallel(graph: &Graph, partition: &EdgeCutPartition) -> CyclopsPlan {
-        Self::build_parallel_with_threshold(graph, partition, 0)
-    }
-
-    /// [`Self::build_parallel`] with a degree threshold for hybrid
-    /// replication: boundary vertices with combined degree below `threshold`
-    /// get no replicas — their cross-worker edges are rewired to the
-    /// direct-message tables. `0` is full replication. Produces exactly the
-    /// same plan as [`Self::build_with_threshold`].
-    pub fn build_parallel_with_threshold(
-        graph: &Graph,
-        partition: &EdgeCutPartition,
-        threshold: u32,
-    ) -> CyclopsPlan {
         let k = partition.num_parts;
         let n = graph.num_vertices();
         assert_eq!(partition.assignment.len(), n);
@@ -583,29 +404,16 @@ impl CyclopsPlan {
                 ..WorkerPlan::default()
             })
             .collect();
-        // Cold classification and the per-worker direct-slot key tables are
-        // cheap O(V + E) scans, done serially like LD; the key tables are
-        // shared by receivers (phase A wiring) and senders (phase B).
-        let (cold, replicated_boundary, messaged_boundary) =
-            classify_cold(graph, &owner, threshold);
-        let key_lists: Vec<Vec<DirectKey>> = workers
-            .iter()
-            .enumerate()
-            .map(|(w, wp)| direct_keys(graph, &owner, w, &wp.masters, &cold))
-            .collect();
         let owner_ref = &owner;
         let local_of_ref = &local_of;
-        let cold_ref = &cold;
-        let key_lists_ref = &key_lists;
         std::thread::scope(|scope| {
             for (w, wp) in workers.iter_mut().enumerate() {
                 scope.spawn(move || {
-                    // Replica discovery: remote hot in-neighbors of my
-                    // masters (cold ones get direct slots instead).
+                    // Replica discovery: remote in-neighbors of my masters.
                     let mut reps: Vec<VertexId> = Vec::new();
                     for &v in &wp.masters {
                         for &u in graph.in_neighbors(v) {
-                            if owner_ref[u as usize] as usize != w && !cold_ref[u as usize] {
+                            if owner_ref[u as usize] as usize != w {
                                 reps.push(u);
                             }
                         }
@@ -614,21 +422,11 @@ impl CyclopsPlan {
                     reps.dedup();
                     wp.replicas = reps;
                     // In-edge references into the local immutable view.
-                    let (offsets, refs, weights) = wire_in_refs(
-                        graph,
-                        owner_ref,
-                        local_of_ref,
-                        w,
-                        &wp.masters,
-                        &wp.replicas,
-                        &key_lists_ref[w],
-                        cold_ref,
-                    );
+                    let (offsets, refs, weights) =
+                        wire_in_refs(graph, owner_ref, local_of_ref, w, &wp.masters, &wp.replicas);
                     wp.in_ref_offsets = offsets;
                     wp.in_refs = refs;
                     wp.in_weights = weights;
-                    wp.direct_source = key_lists_ref[w].iter().map(|k| k.1).collect();
-                    wp.direct_target = key_lists_ref[w].iter().map(|k| k.2).collect();
                 });
             }
         });
@@ -641,22 +439,18 @@ impl CyclopsPlan {
         std::thread::scope(|scope| {
             for (w, wp) in workers.iter_mut().enumerate() {
                 scope.spawn(move || {
-                    let (lo_off, lo, mir_off, mir, d_off, d_out) = wire_out(
+                    let (lo_off, lo, mir_off, mir) = wire_out(
                         graph,
                         owner_ref,
                         local_of_ref,
                         w,
                         &wp.masters,
-                        cold_ref,
                         replica_lists_ref,
-                        key_lists_ref,
                     );
                     wp.local_out_offsets = lo_off;
                     wp.local_out = lo;
                     wp.mirror_offsets = mir_off;
                     wp.mirrors = mir;
-                    wp.direct_out_offsets = d_off;
-                    wp.direct_out = d_out;
 
                     let (ro_off, ro) =
                         wire_rep_out(graph, owner_ref, local_of_ref, w, &wp.replicas);
@@ -669,7 +463,6 @@ impl CyclopsPlan {
         let replicate = rep_start.elapsed();
 
         let total_replicas = workers.iter().map(|w| w.replicas.len()).sum();
-        let total_direct_slots = workers.iter().map(|w| w.num_direct_slots()).sum();
         let mut plan = CyclopsPlan {
             workers,
             owner,
@@ -679,9 +472,6 @@ impl CyclopsPlan {
                 replicate,
                 init: Duration::ZERO,
                 total_replicas,
-                replicated_boundary,
-                messaged_boundary,
-                total_direct_slots,
             },
         };
         plan.attribute_memory();
@@ -691,16 +481,6 @@ impl CyclopsPlan {
     /// Builds the distributed immutable view for `graph` cut by `partition`
     /// (single-threaded reference construction; see [`Self::build_parallel`]).
     pub fn build(graph: &Graph, partition: &EdgeCutPartition) -> CyclopsPlan {
-        Self::build_with_threshold(graph, partition, 0)
-    }
-
-    /// [`Self::build`] with a degree threshold for hybrid replication (see
-    /// [`Self::build_parallel_with_threshold`]; `0` is full replication).
-    pub fn build_with_threshold(
-        graph: &Graph,
-        partition: &EdgeCutPartition,
-        threshold: u32,
-    ) -> CyclopsPlan {
         let k = partition.num_parts;
         let n = graph.num_vertices();
         assert_eq!(partition.assignment.len(), n);
@@ -719,16 +499,10 @@ impl CyclopsPlan {
 
         // ---- REP: create replicas and wire edges. ----
         let rep_start = Instant::now();
-        let (cold, replicated_boundary, messaged_boundary) =
-            classify_cold(graph, &owner, threshold);
-        // Replica discovery: a hot vertex u is replicated on every remote
-        // worker owning one of its out-neighbors; cold vertices get direct
-        // slots instead.
+        // Replica discovery: u is replicated on every remote worker owning
+        // one of its out-neighbors.
         let mut replica_sets: Vec<Vec<VertexId>> = vec![Vec::new(); k];
         for u in graph.vertices() {
-            if cold[u as usize] {
-                continue;
-            }
             let home = owner[u as usize];
             for &x in graph.out_neighbors(u) {
                 let p = owner[x as usize];
@@ -745,11 +519,6 @@ impl CyclopsPlan {
         }
         let replica_lists: Vec<Vec<VertexId>> =
             workers.iter().map(|wp| wp.replicas.clone()).collect();
-        let key_lists: Vec<Vec<DirectKey>> = workers
-            .iter()
-            .enumerate()
-            .map(|(w, wp)| direct_keys(graph, &owner, w, &wp.masters, &cold))
-            .collect();
 
         // In-edge references (the immutable view of each master).
         for w in 0..k {
@@ -760,35 +529,21 @@ impl CyclopsPlan {
                 w,
                 &workers[w].masters,
                 &replica_lists[w],
-                &key_lists[w],
-                &cold,
             );
             workers[w].in_ref_offsets = offsets;
             workers[w].in_refs = refs;
             workers[w].in_weights = weights;
-            workers[w].direct_source = key_lists[w].iter().map(|k| k.1).collect();
-            workers[w].direct_target = key_lists[w].iter().map(|k| k.2).collect();
         }
 
-        // Local activation fan-out, mirror lists and direct destinations per
-        // master; replica activation fan-out per replica.
+        // Local activation fan-out and mirror lists per master; replica
+        // activation fan-out per replica.
         for (w, worker) in workers.iter_mut().enumerate() {
-            let (lo_off, lo, mir_off, mir, d_off, d_out) = wire_out(
-                graph,
-                &owner,
-                &local_of,
-                w,
-                &worker.masters,
-                &cold,
-                &replica_lists,
-                &key_lists,
-            );
+            let (lo_off, lo, mir_off, mir) =
+                wire_out(graph, &owner, &local_of, w, &worker.masters, &replica_lists);
             worker.local_out_offsets = lo_off;
             worker.local_out = lo;
             worker.mirror_offsets = mir_off;
             worker.mirrors = mir;
-            worker.direct_out_offsets = d_off;
-            worker.direct_out = d_out;
         }
         for (w, worker) in workers.iter_mut().enumerate() {
             let (ro_off, ro) = wire_rep_out(graph, &owner, &local_of, w, &worker.replicas);
@@ -801,7 +556,6 @@ impl CyclopsPlan {
         let replicate = rep_start.elapsed();
 
         let total_replicas = workers.iter().map(|w| w.replicas.len()).sum();
-        let total_direct_slots = workers.iter().map(|w| w.num_direct_slots()).sum();
         let mut plan = CyclopsPlan {
             workers,
             owner,
@@ -811,9 +565,6 @@ impl CyclopsPlan {
                 replicate,
                 init: Duration::ZERO,
                 total_replicas,
-                replicated_boundary,
-                messaged_boundary,
-                total_direct_slots,
             },
         };
         plan.attribute_memory();
@@ -821,8 +572,7 @@ impl CyclopsPlan {
     }
 
     /// Average number of replicas per vertex — must equal
-    /// [`EdgeCutPartition::replication_factor`] at threshold 0, and
-    /// [`EdgeCutPartition::replication_factor_at_threshold`] in general.
+    /// [`EdgeCutPartition::replication_factor`].
     pub fn replication_factor(&self, graph: &Graph) -> f64 {
         if graph.num_vertices() == 0 {
             return 0.0;
@@ -846,7 +596,6 @@ impl CyclopsPlan {
                 + vec_bytes(&self.local_of)
                 + self.workers.capacity() * std::mem::size_of::<WorkerPlan>(),
             replicas: 0,
-            direct_slots: 0,
         };
         for w in &self.workers {
             b.merge(&w.memory_breakdown());
@@ -855,8 +604,8 @@ impl CyclopsPlan {
     }
 
     /// Re-materializes every plan vector with exact capacity under its
-    /// component's [`MemScope`], so the tracking allocator's `Plan`,
-    /// `Replicas` and `DirectSlots` live counters match
+    /// component's [`MemScope`], so the tracking allocator's `Plan` and
+    /// `Replicas` live counters match
     /// [`Self::memory_breakdown`] exactly. No-op unless the allocator is
     /// armed — the plan's contents and capacities are unchanged either way.
     pub fn attribute_memory(&mut self) {
@@ -1044,46 +793,28 @@ mod tests {
             ),
         ] {
             let p = HashPartitioner.partition(&g, k);
-            for threshold in [0u32, 2, 4, 8, u32::MAX] {
-                let serial = CyclopsPlan::build_with_threshold(&g, &p, threshold);
-                let parallel = CyclopsPlan::build_parallel_with_threshold(&g, &p, threshold);
-                assert_eq!(serial.owner, parallel.owner);
-                assert_eq!(serial.local_of, parallel.local_of);
-                assert_eq!(
-                    serial.ingress.total_replicas,
-                    parallel.ingress.total_replicas
-                );
-                assert_eq!(
-                    serial.ingress.replicated_boundary,
-                    parallel.ingress.replicated_boundary
-                );
-                assert_eq!(
-                    serial.ingress.messaged_boundary,
-                    parallel.ingress.messaged_boundary
-                );
-                assert_eq!(
-                    serial.ingress.total_direct_slots,
-                    parallel.ingress.total_direct_slots
-                );
-                for (a, b) in serial.workers.iter().zip(&parallel.workers) {
-                    assert_eq!(a.masters, b.masters);
-                    assert_eq!(a.replicas, b.replicas);
-                    assert_eq!(a.in_ref_offsets, b.in_ref_offsets);
-                    assert_eq!(a.in_refs, b.in_refs);
-                    assert_eq!(a.in_weights, b.in_weights);
-                    assert_eq!(a.local_out_offsets, b.local_out_offsets);
-                    assert_eq!(a.local_out, b.local_out);
-                    assert_eq!(a.mirror_offsets, b.mirror_offsets);
-                    assert_eq!(a.mirrors, b.mirrors);
-                    assert_eq!(a.rep_out_offsets, b.rep_out_offsets);
-                    assert_eq!(a.rep_out, b.rep_out);
-                    assert_eq!(a.direct_source, b.direct_source);
-                    assert_eq!(a.direct_target, b.direct_target);
-                    assert_eq!(a.direct_out_offsets, b.direct_out_offsets);
-                    assert_eq!(a.direct_out, b.direct_out);
-                    assert_eq!(a.work_mass, b.work_mass);
-                    assert_eq!(a.work_mass_prefix, b.work_mass_prefix);
-                }
+            let serial = CyclopsPlan::build(&g, &p);
+            let parallel = CyclopsPlan::build_parallel(&g, &p);
+            assert_eq!(serial.owner, parallel.owner);
+            assert_eq!(serial.local_of, parallel.local_of);
+            assert_eq!(
+                serial.ingress.total_replicas,
+                parallel.ingress.total_replicas
+            );
+            for (a, b) in serial.workers.iter().zip(&parallel.workers) {
+                assert_eq!(a.masters, b.masters);
+                assert_eq!(a.replicas, b.replicas);
+                assert_eq!(a.in_ref_offsets, b.in_ref_offsets);
+                assert_eq!(a.in_refs, b.in_refs);
+                assert_eq!(a.in_weights, b.in_weights);
+                assert_eq!(a.local_out_offsets, b.local_out_offsets);
+                assert_eq!(a.local_out, b.local_out);
+                assert_eq!(a.mirror_offsets, b.mirror_offsets);
+                assert_eq!(a.mirrors, b.mirrors);
+                assert_eq!(a.rep_out_offsets, b.rep_out_offsets);
+                assert_eq!(a.rep_out, b.rep_out);
+                assert_eq!(a.work_mass, b.work_mass);
+                assert_eq!(a.work_mass_prefix, b.work_mass_prefix);
             }
         }
     }
@@ -1097,11 +828,7 @@ mod tests {
             assert_eq!(wp.work_mass_prefix.len(), wp.num_masters() + 1);
             for li in 0..wp.num_masters() {
                 let (s, e) = wp.in_ref_range(li);
-                let expect = (e - s)
-                    + wp.local_out(li).len()
-                    + wp.mirrors(li).len()
-                    + wp.direct_out(li).len()
-                    + 1;
+                let expect = (e - s) + wp.local_out(li).len() + wp.mirrors(li).len() + 1;
                 assert_eq!(wp.work_mass[li] as usize, expect);
                 assert_eq!(
                     wp.work_mass_prefix[li + 1] - wp.work_mass_prefix[li],
@@ -1119,91 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_zero_matches_default_build() {
-        let (g, p) = figure6();
-        let base = CyclopsPlan::build(&g, &p);
-        assert_eq!(base.ingress.total_direct_slots, 0);
-        assert_eq!(base.ingress.messaged_boundary, 0);
-        // Boundary vertices of figure6: 0 (0->2), 2 (2->1), 3 (3->4), 5 (5->2).
-        assert_eq!(base.ingress.replicated_boundary, 4);
-        for wp in &base.workers {
-            assert!(wp.direct_source.is_empty());
-            assert!(wp.direct_out.is_empty());
-            assert_eq!(wp.direct_out_offsets.len(), wp.num_masters() + 1);
-            assert!(wp.in_refs.iter().all(|r| !matches!(r, InRef::Direct(_))));
-        }
-    }
-
-    #[test]
-    fn hybrid_threshold_splits_figure6() {
-        // Combined degrees: 0 -> 3, 2 -> 5, 3 -> 3, 5 -> 3. Threshold 4
-        // keeps only vertex 2 replicated; 0, 3 and 5 go cold.
-        let (g, p) = figure6();
-        let plan = CyclopsPlan::build_with_threshold(&g, &p, 4);
-        assert_eq!(plan.ingress.replicated_boundary, 1);
-        assert_eq!(plan.ingress.messaged_boundary, 3);
-        assert_eq!(plan.ingress.total_replicas, 1);
-        assert_eq!(plan.ingress.total_direct_slots, 3);
-        // Worker 0 keeps the replica of hot vertex 2.
-        assert_eq!(plan.workers[0].replicas, vec![2]);
-        assert!(plan.workers[1].replicas.is_empty());
-        assert!(plan.workers[2].replicas.is_empty());
-        // Worker 1's direct table: slots for 0->2 and 5->2, sorted by
-        // (owner, source): 0 before 5.
-        let w1 = &plan.workers[1];
-        assert_eq!(w1.direct_source, vec![0, 5]);
-        assert_eq!(w1.direct_target, vec![0, 0]);
-        let (s, e) = w1.in_ref_range(0);
-        assert_eq!(
-            w1.in_refs[s..e],
-            vec![InRef::Direct(0), InRef::Master(1), InRef::Direct(1)]
-        );
-        // Worker 2's direct table: slot for 3->4.
-        assert_eq!(plan.workers[2].direct_source, vec![3]);
-        assert_eq!(plan.workers[2].direct_target, vec![0]);
-        // Sender side: cold masters carry direct destinations, no mirrors.
-        assert_eq!(plan.workers[0].direct_out(0), &[(1, 0)]); // vertex 0
-        assert!(plan.workers[0].mirrors(0).is_empty());
-        assert_eq!(plan.workers[2].direct_out(1), &[(1, 1)]); // vertex 5
-        assert_eq!(plan.workers[1].direct_out(1), &[(2, 0)]); // vertex 3
-                                                              // Hot vertex 2 still mirrors onto worker 0.
-        assert_eq!(plan.workers[1].mirrors(0), &[(0, 0)]);
-        assert!(plan.workers[1].direct_out(0).is_empty());
-    }
-
-    #[test]
-    fn max_threshold_messages_every_boundary_vertex() {
-        let (g, p) = figure6();
-        let plan = CyclopsPlan::build_with_threshold(&g, &p, u32::MAX);
-        assert_eq!(plan.ingress.total_replicas, 0);
-        assert_eq!(plan.ingress.replicated_boundary, 0);
-        assert_eq!(plan.ingress.messaged_boundary, 4);
-        // One slot per cross-worker edge: 0->2, 2->1, 3->4, 5->2.
-        assert_eq!(plan.ingress.total_direct_slots, 4);
-        assert!(plan.workers.iter().all(|wp| wp.replicas.is_empty()));
-    }
-
-    #[test]
-    fn hybrid_direct_slots_align_on_multigraphs() {
-        // Two parallel cold edges 0->1 across the cut land in two distinct
-        // slots, and the sender's destinations cover both.
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        let g = b.build();
-        let p = EdgeCutPartition::new(2, vec![0, 1]);
-        let plan = CyclopsPlan::build_with_threshold(&g, &p, 100);
-        let w1 = &plan.workers[1];
-        assert_eq!(w1.direct_source, vec![0, 0]);
-        assert_eq!(w1.direct_target, vec![0, 0]);
-        let (s, e) = w1.in_ref_range(0);
-        assert_eq!(w1.in_refs[s..e], vec![InRef::Direct(0), InRef::Direct(1)]);
-        let mut dests = plan.workers[0].direct_out(0).to_vec();
-        dests.sort_unstable();
-        assert_eq!(dests, vec![(1, 0), (1, 1)]);
-    }
-
-    #[test]
     fn ingress_timings_are_recorded() {
         let (g, p) = figure6();
         let plan = CyclopsPlan::build(&g, &p);
@@ -1212,28 +854,10 @@ mod tests {
     }
 
     #[test]
-    fn memory_breakdown_tracks_the_replication_threshold() {
-        let (g, p) = figure6();
-        let full = CyclopsPlan::build(&g, &p).memory_breakdown();
-        let none = CyclopsPlan::build_with_threshold(&g, &p, u32::MAX).memory_breakdown();
-        // Full replication spends bytes on replica tables; an infinite
-        // threshold trades them for direct-slot tables. (Both carry a few
-        // bytes of empty per-master CSR scaffolding either way, so compare
-        // relative, not absolute-zero.)
-        assert!(full.replicas > none.replicas);
-        assert!(none.direct_slots > full.direct_slots);
-        // The component split partitions the total.
-        assert_eq!(full.total(), full.plan + full.replicas + full.direct_slots);
-        // Plan-side bytes (masters, CSRs, owner/local_of) don't depend on
-        // the threshold.
-        assert_eq!(full.plan, none.plan);
-    }
-
-    #[test]
     fn parallel_and_serial_breakdowns_agree_on_lens() {
         let (g, p) = figure6();
-        let serial = CyclopsPlan::build_with_threshold(&g, &p, 2);
-        let par = CyclopsPlan::build_parallel_with_threshold(&g, &p, 2);
+        let serial = CyclopsPlan::build(&g, &p);
+        let par = CyclopsPlan::build_parallel(&g, &p);
         // Capacities may differ between the two construction paths, but the
         // per-component byte totals computed from identical contents after
         // `attribute_memory` shrinks capacities to lens must stay close;
@@ -1244,7 +868,6 @@ mod tests {
                     + plan.local_of.len() * std::mem::size_of::<u32>()
                     + plan.workers.len() * std::mem::size_of::<WorkerPlan>(),
                 replicas: 0,
-                direct_slots: 0,
             };
             for w in &plan.workers {
                 b.merge(&MemoryBreakdown {
@@ -1261,10 +884,6 @@ mod tests {
                         + w.mirrors.len() * 8
                         + w.rep_out_offsets.len() * 4
                         + w.rep_out.len() * 4,
-                    direct_slots: w.direct_source.len() * std::mem::size_of::<VertexId>()
-                        + w.direct_target.len() * 4
-                        + w.direct_out_offsets.len() * 4
-                        + w.direct_out.len() * 8,
                 });
             }
             b
@@ -1272,6 +891,5 @@ mod tests {
         let (a, b) = (shrink(&serial), shrink(&par));
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.replicas, b.replicas);
-        assert_eq!(a.direct_slots, b.direct_slots);
     }
 }

@@ -74,9 +74,6 @@ pub struct CyclopsContext<'a, V, M> {
     pub(crate) msg_cur: &'a DisjointSlots<Option<M>>,
     /// Replica publications on this worker (previous superstep).
     pub(crate) rep_msg: &'a DisjointSlots<Option<M>>,
-    /// Direct-message slots on this worker (previous superstep): the
-    /// publications of cold boundary in-neighbors under hybrid replication.
-    pub(crate) direct_msg: &'a DisjointSlots<Option<M>>,
     /// Set by `activate_neighbors`.
     pub(crate) publish: &'a mut Option<M>,
     /// Local error reported via `report_error`.
@@ -138,7 +135,6 @@ impl<'a, V, M> CyclopsContext<'a, V, M> {
                 let slot = match *r {
                     InRef::Master(mi) => self.msg_cur.read(mi as usize),
                     InRef::Replica(ri) => self.rep_msg.read(ri as usize),
-                    InRef::Direct(di) => self.direct_msg.read(di as usize),
                 };
                 slot.as_ref().map(|m| {
                     let w = if weights.is_empty() { 1.0 } else { weights[i] };
@@ -162,7 +158,6 @@ impl<'a, V, M> CyclopsContext<'a, V, M> {
                 let slot = match *r {
                     InRef::Master(mi) => self.msg_cur.read(mi as usize),
                     InRef::Replica(ri) => self.rep_msg.read(ri as usize),
-                    InRef::Direct(di) => self.direct_msg.read(di as usize),
                 };
                 slot.as_ref().map(|m| {
                     let w = if weights.is_empty() { 1.0 } else { weights[i] };

@@ -394,20 +394,6 @@ pub struct ReplicaUpdate<M> {
 /// Mode bytes of the `ReplicaBatch` framing.
 const REPLICA_BATCH_SPARSE: u8 = 0;
 const REPLICA_BATCH_DENSE: u8 = 1;
-/// Mode bytes of the `DirectBatch` framing. Disjoint from the
-/// `ReplicaBatch` tags so a batch can never decode as the wrong kind.
-const DIRECT_BATCH_SPARSE: u8 = 2;
-const DIRECT_BATCH_DENSE: u8 = 3;
-/// One-message `DirectBatch` frame: tag · varint slot · payload. Cold
-/// boundary traffic is dominated by single-slot sends (a publish-once leaf
-/// reaching one remote reader), where the sparse frame's count byte and
-/// activation bitmap are pure overhead.
-const DIRECT_BATCH_SINGLE: u8 = 4;
-/// Packed one-message frame: when the slot fits in 7 bits — per-worker
-/// direct tables are small, so nearly always — the tag and slot share one
-/// byte, `PACKED_SINGLE_BIT | slot`, followed directly by the payload. The
-/// high bit keeps the byte disjoint from every mode tag (all < 0x80).
-const PACKED_SINGLE_BIT: u8 = 0x80;
 
 impl<M> ReplicaUpdate<M> {
     /// Builds an update.
@@ -417,339 +403,6 @@ impl<M> ReplicaUpdate<M> {
             payload,
             activate,
         }
-    }
-}
-
-/// One direct message under hybrid replication: a cold boundary master's
-/// new publication for one destination-worker direct slot. Structurally a
-/// [`ReplicaUpdate`] whose id addresses the receiver's direct-message table
-/// instead of its replica array; kept a distinct type so the wire tags (and
-/// every byte counter keyed on them) can never confuse the two paths.
-/// Deliberately *not* a [`Codec`] impl: the blanket legacy framing must not
-/// apply to it.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DirectMessage<M> {
-    /// Destination-worker direct-slot index (dense, per-worker).
-    pub slot: u32,
-    /// The master's published value.
-    pub payload: M,
-    /// Whether the slot's target master activates next superstep. **Wire
-    /// contract: always `true`.** A direct message only exists because a
-    /// dirty master published, and a publication activates its readers, so
-    /// the bit is not carried in the `DirectBatch` framing — the encoder
-    /// debug-asserts it and the decoder reconstructs `true`.
-    pub activate: bool,
-}
-
-impl<M> DirectMessage<M> {
-    /// Builds a direct message.
-    pub fn new(slot: u32, payload: M, activate: bool) -> Self {
-        DirectMessage {
-            slot,
-            payload,
-            activate,
-        }
-    }
-}
-
-/// The shape both adaptive batch formats share: a `u32` id, a payload, and
-/// an activation bit. Lets `ReplicaBatch` and `DirectBatch` run the same
-/// encoder/decoder with per-format knobs: the mode tags, whether the wire
-/// carries activation bits, and an optional one-message frame.
-trait AdaptiveUpdate: Sized {
-    /// Payload type carried per id.
-    type Payload: Codec;
-    /// Mode byte of the sparse framing.
-    const SPARSE_TAG: u8;
-    /// Mode byte of the dense framing.
-    const DENSE_TAG: u8;
-    /// Whether the wire carries per-message activation bits. When `false`
-    /// every message is defined to activate: the encoder debug-asserts the
-    /// invariant and the decoder reconstructs `activate = true`.
-    const CARRIES_ACTIVATION: bool;
-    /// Mode byte of the one-message frame (tag · varint id · payload), if
-    /// the format has one.
-    const SINGLE_TAG: Option<u8>;
-    fn id(&self) -> u32;
-    fn payload(&self) -> &Self::Payload;
-    fn is_active(&self) -> bool;
-    fn from_parts(id: u32, payload: Self::Payload, activate: bool) -> Self;
-}
-
-impl<M: Codec> AdaptiveUpdate for ReplicaUpdate<M> {
-    type Payload = M;
-    const SPARSE_TAG: u8 = REPLICA_BATCH_SPARSE;
-    const DENSE_TAG: u8 = REPLICA_BATCH_DENSE;
-    const CARRIES_ACTIVATION: bool = true;
-    const SINGLE_TAG: Option<u8> = None;
-    fn id(&self) -> u32 {
-        self.replica
-    }
-    fn payload(&self) -> &M {
-        &self.payload
-    }
-    fn is_active(&self) -> bool {
-        self.activate
-    }
-    fn from_parts(id: u32, payload: M, activate: bool) -> Self {
-        ReplicaUpdate::new(id, payload, activate)
-    }
-}
-
-impl<M: Codec> AdaptiveUpdate for DirectMessage<M> {
-    type Payload = M;
-    const SPARSE_TAG: u8 = DIRECT_BATCH_SPARSE;
-    const DENSE_TAG: u8 = DIRECT_BATCH_DENSE;
-    // A direct message *is* an activation: the engines only publish to a
-    // slot for a dirty master, and the slot's target must recompute over
-    // the new value. Both publish paths construct `activate = true`, so
-    // the bit is dropped from the wire entirely.
-    const CARRIES_ACTIVATION: bool = false;
-    const SINGLE_TAG: Option<u8> = Some(DIRECT_BATCH_SINGLE);
-    fn id(&self) -> u32 {
-        self.slot
-    }
-    fn payload(&self) -> &M {
-        &self.payload
-    }
-    fn is_active(&self) -> bool {
-        self.activate
-    }
-    fn from_parts(id: u32, payload: M, activate: bool) -> Self {
-        DirectMessage::new(id, payload, activate)
-    }
-}
-
-/// Shared encoder of the adaptive sparse/dense batch framing (see the
-/// [`ReplicaUpdate`] `WireFormat` docs for the byte layout). Sorts by id,
-/// prices both encodings exactly, and emits the smaller with the format's
-/// own mode tags.
-fn adaptive_wire_encode<T: AdaptiveUpdate>(buf: &mut BytesMut, msgs: &mut [T]) -> WireStats {
-    msgs.sort_by_key(|m| m.id());
-    let count = msgs.len();
-    let payload_len: usize = msgs.iter().map(|m| m.payload().encoded_len()).sum();
-    // Legacy framing: u32 count + (u32 id + payload + bool) each.
-    let legacy_len = 4 + payload_len + 5 * count;
-    debug_assert!(
-        T::CARRIES_ACTIVATION || msgs.iter().all(|m| m.is_active()),
-        "a format without wire activation bits must only carry activating messages"
-    );
-    let act_bytes = if T::CARRIES_ACTIVATION {
-        count.div_ceil(8)
-    } else {
-        0
-    };
-
-    // One-message frame: tag · varint id · payload — or, when the id fits
-    // in 7 bits, the packed variant that folds the id into the tag byte.
-    // Never longer than the sparse frame (which adds at least the count
-    // byte), so take it unconditionally when available.
-    if count == 1 {
-        if let Some(tag) = T::SINGLE_TAG {
-            let id = msgs[0].id();
-            let packed = id < PACKED_SINGLE_BIT as u32;
-            let total = if packed {
-                1 + payload_len
-            } else {
-                1 + varint_len(id as u64) + payload_len
-            };
-            buf.clear();
-            let before = buf.capacity();
-            buf.reserve(total);
-            let grown = buf.capacity().saturating_sub(before);
-            if packed {
-                buf.put_u8(PACKED_SINGLE_BIT | id as u8);
-            } else {
-                buf.put_u8(tag);
-                encode_varint(buf, id as u64);
-            }
-            msgs[0].payload().encode(buf);
-            debug_assert_eq!(buf.len(), total, "single-frame size arithmetic drifted");
-            return WireStats {
-                grown,
-                mode: WireMode::Sparse,
-                legacy_len,
-            };
-        }
-    }
-
-    let mut ids_len = 0usize;
-    let mut unique = true;
-    let mut prev = 0u32;
-    for (i, m) in msgs.iter().enumerate() {
-        let delta = if i == 0 {
-            m.id() as u64
-        } else {
-            if m.id() == prev {
-                unique = false;
-            }
-            (m.id() - prev) as u64
-        };
-        ids_len += varint_len(delta);
-        prev = m.id();
-    }
-    let sparse_len = 1 + varint_len(count as u64) + act_bytes + ids_len + payload_len;
-    let dense_len = if count > 0 && unique {
-        let base = msgs[0].id() as u64;
-        let span = msgs[count - 1].id() as u64 - base + 1;
-        Some(
-            1 + varint_len(count as u64)
-                + varint_len(base)
-                + varint_len(span)
-                + (span as usize).div_ceil(8)
-                + act_bytes
-                + payload_len,
-        )
-    } else {
-        None
-    };
-
-    let (mode, total) = match dense_len {
-        Some(d) if d < sparse_len => (WireMode::Dense, d),
-        _ => (WireMode::Sparse, sparse_len),
-    };
-    buf.clear();
-    let before = buf.capacity();
-    buf.reserve(total);
-    let grown = buf.capacity().saturating_sub(before);
-    match mode {
-        WireMode::Sparse => {
-            buf.put_u8(T::SPARSE_TAG);
-            encode_varint(buf, count as u64);
-            if T::CARRIES_ACTIVATION {
-                put_bitmap(buf, msgs.iter().map(|m| m.is_active()));
-            }
-            let mut prev = 0u32;
-            for (i, m) in msgs.iter().enumerate() {
-                let delta = if i == 0 {
-                    m.id() as u64
-                } else {
-                    (m.id() - prev) as u64
-                };
-                encode_varint(buf, delta);
-                m.payload().encode(buf);
-                prev = m.id();
-            }
-        }
-        WireMode::Dense => {
-            buf.put_u8(T::DENSE_TAG);
-            encode_varint(buf, count as u64);
-            let base = msgs[0].id();
-            let span = msgs[count - 1].id() as u64 - base as u64 + 1;
-            encode_varint(buf, base as u64);
-            encode_varint(buf, span);
-            // Presence bitmap, streamed in ascending-offset order.
-            let span_bytes = (span as usize).div_ceil(8);
-            let mut byte_idx = 0usize;
-            let mut cur = 0u8;
-            for m in msgs.iter() {
-                let off = (m.id() - base) as usize;
-                while byte_idx < off / 8 {
-                    buf.put_u8(cur);
-                    cur = 0;
-                    byte_idx += 1;
-                }
-                cur |= 1 << (off % 8);
-            }
-            while byte_idx < span_bytes {
-                buf.put_u8(cur);
-                cur = 0;
-                byte_idx += 1;
-            }
-            if T::CARRIES_ACTIVATION {
-                put_bitmap(buf, msgs.iter().map(|m| m.is_active()));
-            }
-            for m in msgs.iter() {
-                m.payload().encode(buf);
-            }
-        }
-        WireMode::Legacy => unreachable!(),
-    }
-    debug_assert_eq!(buf.len(), total, "adaptive batch size arithmetic drifted");
-    WireStats {
-        grown,
-        mode,
-        legacy_len,
-    }
-}
-
-/// Shared decoder of the adaptive framing. Rejects (returns `None` for) a
-/// batch carrying the *other* format's tags, so replica and direct traffic
-/// cannot be cross-decoded.
-fn adaptive_wire_try_decode<T: AdaptiveUpdate>(buf: &mut impl Buf) -> Option<Vec<T>> {
-    if !buf.has_remaining() {
-        return None;
-    }
-    let tag = buf.get_u8();
-    if T::SINGLE_TAG.is_some() && tag & PACKED_SINGLE_BIT != 0 {
-        let payload = T::Payload::try_decode(buf)?;
-        let id = (tag & !PACKED_SINGLE_BIT) as u32;
-        return Some(vec![T::from_parts(id, payload, true)]);
-    }
-    if T::SINGLE_TAG == Some(tag) {
-        let id = try_decode_varint(buf)?;
-        if id > u32::MAX as u64 {
-            return None;
-        }
-        let payload = T::Payload::try_decode(buf)?;
-        return Some(vec![T::from_parts(id as u32, payload, true)]);
-    }
-    if tag == T::SPARSE_TAG {
-        let count = try_decode_varint(buf)? as usize;
-        let act = if T::CARRIES_ACTIVATION {
-            Some(try_read_bitmap(buf, count)?)
-        } else {
-            None
-        };
-        let mut out = Vec::with_capacity(count.min(buf.remaining()));
-        let mut id = 0u64;
-        for i in 0..count {
-            let delta = try_decode_varint(buf)?;
-            id = if i == 0 {
-                delta
-            } else {
-                id.checked_add(delta)?
-            };
-            if id > u32::MAX as u64 {
-                return None;
-            }
-            let payload = T::Payload::try_decode(buf)?;
-            let activate = act.as_ref().is_none_or(|a| bitmap_get(a, i));
-            out.push(T::from_parts(id as u32, payload, activate));
-        }
-        Some(out)
-    } else if tag == T::DENSE_TAG {
-        let count = try_decode_varint(buf)? as usize;
-        let base = try_decode_varint(buf)?;
-        let span = try_decode_varint(buf)?;
-        if count == 0
-            || span < count as u64
-            || base + span - 1 > u32::MAX as u64
-            || span > buf.remaining() as u64 * 8
-        {
-            return None;
-        }
-        let presence = try_read_bitmap(buf, span as usize)?;
-        let act = if T::CARRIES_ACTIVATION {
-            Some(try_read_bitmap(buf, count)?)
-        } else {
-            None
-        };
-        let mut out = Vec::with_capacity(count);
-        for off in 0..span as usize {
-            if bitmap_get(&presence, off) {
-                if out.len() == count {
-                    return None; // more presence bits than count
-                }
-                let payload = T::Payload::try_decode(buf)?;
-                let i = out.len();
-                let activate = act.as_ref().is_none_or(|a| bitmap_get(a, i));
-                out.push(T::from_parts(base as u32 + off as u32, payload, activate));
-            }
-        }
-        (out.len() == count).then_some(out)
-    } else {
-        None
     }
 }
 
@@ -774,31 +427,165 @@ fn adaptive_wire_try_decode<T: AdaptiveUpdate>(buf: &mut impl Buf) -> Option<Vec
 /// inputs may) force sparse: a presence bitmap cannot express them.
 impl<M: Codec> WireFormat for ReplicaUpdate<M> {
     fn wire_encode_batch_into(buf: &mut BytesMut, msgs: &mut [Self]) -> WireStats {
-        adaptive_wire_encode(buf, msgs)
+        msgs.sort_by_key(|m| m.replica);
+        let count = msgs.len();
+        let payload_len: usize = msgs.iter().map(|m| m.payload.encoded_len()).sum();
+        // Legacy framing: u32 count + (u32 id + payload + bool) each.
+        let legacy_len = 4 + payload_len + 5 * count;
+        let act_bytes = count.div_ceil(8);
+
+        let mut ids_len = 0usize;
+        let mut unique = true;
+        let mut prev = 0u32;
+        for (i, m) in msgs.iter().enumerate() {
+            let delta = if i == 0 {
+                m.replica as u64
+            } else {
+                if m.replica == prev {
+                    unique = false;
+                }
+                (m.replica - prev) as u64
+            };
+            ids_len += varint_len(delta);
+            prev = m.replica;
+        }
+        let sparse_len = 1 + varint_len(count as u64) + act_bytes + ids_len + payload_len;
+        let dense_len = if count > 0 && unique {
+            let base = msgs[0].replica as u64;
+            let span = msgs[count - 1].replica as u64 - base + 1;
+            Some(
+                1 + varint_len(count as u64)
+                    + varint_len(base)
+                    + varint_len(span)
+                    + (span as usize).div_ceil(8)
+                    + act_bytes
+                    + payload_len,
+            )
+        } else {
+            None
+        };
+
+        let (mode, total) = match dense_len {
+            Some(d) if d < sparse_len => (WireMode::Dense, d),
+            _ => (WireMode::Sparse, sparse_len),
+        };
+        buf.clear();
+        let before = buf.capacity();
+        buf.reserve(total);
+        let grown = buf.capacity().saturating_sub(before);
+        match mode {
+            WireMode::Sparse => {
+                buf.put_u8(REPLICA_BATCH_SPARSE);
+                encode_varint(buf, count as u64);
+                put_bitmap(buf, msgs.iter().map(|m| m.activate));
+                let mut prev = 0u32;
+                for (i, m) in msgs.iter().enumerate() {
+                    let delta = if i == 0 {
+                        m.replica as u64
+                    } else {
+                        (m.replica - prev) as u64
+                    };
+                    encode_varint(buf, delta);
+                    m.payload.encode(buf);
+                    prev = m.replica;
+                }
+            }
+            WireMode::Dense => {
+                buf.put_u8(REPLICA_BATCH_DENSE);
+                encode_varint(buf, count as u64);
+                let base = msgs[0].replica;
+                let span = msgs[count - 1].replica as u64 - base as u64 + 1;
+                encode_varint(buf, base as u64);
+                encode_varint(buf, span);
+                // Presence bitmap, streamed in ascending-offset order.
+                let span_bytes = (span as usize).div_ceil(8);
+                let mut byte_idx = 0usize;
+                let mut cur = 0u8;
+                for m in msgs.iter() {
+                    let off = (m.replica - base) as usize;
+                    while byte_idx < off / 8 {
+                        buf.put_u8(cur);
+                        cur = 0;
+                        byte_idx += 1;
+                    }
+                    cur |= 1 << (off % 8);
+                }
+                while byte_idx < span_bytes {
+                    buf.put_u8(cur);
+                    cur = 0;
+                    byte_idx += 1;
+                }
+                put_bitmap(buf, msgs.iter().map(|m| m.activate));
+                for m in msgs.iter() {
+                    m.payload.encode(buf);
+                }
+            }
+            WireMode::Legacy => unreachable!(),
+        }
+        debug_assert_eq!(buf.len(), total, "adaptive batch size arithmetic drifted");
+        WireStats {
+            grown,
+            mode,
+            legacy_len,
+        }
     }
 
     fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>> {
-        adaptive_wire_try_decode(buf)
-    }
-}
-
-/// The `DirectBatch` format: the adaptive sparse/dense layout of
-/// `ReplicaBatch` — slot ids delta-varint'd or bitmap'd, payloads in
-/// ascending slot order — under its own mode tags (`0x02` sparse, `0x03`
-/// dense), minus the activation bitmap (direct messages always activate;
-/// see [`DirectMessage::activate`]), plus a one-message frame: `0x04` ·
-/// varint slot · payload, or — when the slot fits in 7 bits — a single
-/// `0x80 | slot` byte · payload. Cold-vertex traffic skews toward tiny
-/// batches (a publish-once leaf reaching a single remote reader), where
-/// these fixed bytes are the difference between a direct message being
-/// cheaper or dearer than the replica entry it replaced.
-impl<M: Codec> WireFormat for DirectMessage<M> {
-    fn wire_encode_batch_into(buf: &mut BytesMut, msgs: &mut [Self]) -> WireStats {
-        adaptive_wire_encode(buf, msgs)
-    }
-
-    fn wire_try_decode_batch(buf: &mut impl Buf) -> Option<Vec<Self>> {
-        adaptive_wire_try_decode(buf)
+        if !buf.has_remaining() {
+            return None;
+        }
+        let tag = buf.get_u8();
+        if tag == REPLICA_BATCH_SPARSE {
+            let count = try_decode_varint(buf)? as usize;
+            let act = try_read_bitmap(buf, count)?;
+            let mut out = Vec::with_capacity(count.min(buf.remaining()));
+            let mut id = 0u64;
+            for i in 0..count {
+                let delta = try_decode_varint(buf)?;
+                id = if i == 0 {
+                    delta
+                } else {
+                    id.checked_add(delta)?
+                };
+                if id > u32::MAX as u64 {
+                    return None;
+                }
+                let payload = M::try_decode(buf)?;
+                out.push(ReplicaUpdate::new(id as u32, payload, bitmap_get(&act, i)));
+            }
+            Some(out)
+        } else if tag == REPLICA_BATCH_DENSE {
+            let count = try_decode_varint(buf)? as usize;
+            let base = try_decode_varint(buf)?;
+            let span = try_decode_varint(buf)?;
+            if count == 0
+                || span < count as u64
+                || base + span - 1 > u32::MAX as u64
+                || span > buf.remaining() as u64 * 8
+            {
+                return None;
+            }
+            let presence = try_read_bitmap(buf, span as usize)?;
+            let act = try_read_bitmap(buf, count)?;
+            let mut out = Vec::with_capacity(count);
+            for off in 0..span as usize {
+                if bitmap_get(&presence, off) {
+                    if out.len() == count {
+                        return None; // more presence bits than count
+                    }
+                    let payload = M::try_decode(buf)?;
+                    let activate = bitmap_get(&act, out.len());
+                    out.push(ReplicaUpdate::new(
+                        base as u32 + off as u32,
+                        payload,
+                        activate,
+                    ));
+                }
+            }
+            (out.len() == count).then_some(out)
+        } else {
+            None
+        }
     }
 }
 
@@ -1080,13 +867,17 @@ mod tests {
         let mut msgs = updates(&[1, 2, 3]);
         let mut buf = BytesMut::new();
         ReplicaUpdate::wire_encode_batch_into(&mut buf, &mut msgs);
-        // Unknown mode byte.
-        let mut bytes = buf.to_vec();
-        bytes[0] = 7;
-        assert_eq!(
-            ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &bytes[..]),
-            None
-        );
+        // Unknown mode bytes, including the retired `DirectBatch` tags
+        // (0x02 sparse, 0x03 dense, 0x04 one-message frame).
+        for tag in [0x02, 0x03, 0x04, 7] {
+            let mut bytes = buf.to_vec();
+            bytes[0] = tag;
+            assert_eq!(
+                ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &bytes[..]),
+                None,
+                "mode byte {tag:#04x}"
+            );
+        }
         // Dense header claiming span < count.
         let mut dense = BytesMut::new();
         dense.put_u8(REPLICA_BATCH_DENSE);
@@ -1097,119 +888,6 @@ mod tests {
             ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &dense[..]),
             None
         );
-    }
-
-    fn directs(ids: &[u32]) -> Vec<DirectMessage<f64>> {
-        // Always-activate: the DirectBatch wire contract.
-        ids.iter()
-            .map(|&id| DirectMessage::new(id, id as f64 * 0.5, true))
-            .collect()
-    }
-
-    #[test]
-    fn direct_batch_round_trips_and_undercuts_replica_sizing() {
-        for ids in [
-            (100..200u32).collect::<Vec<_>>(),
-            (0..20).map(|i| i * 10_000).collect(),
-            vec![],
-            vec![7],
-        ] {
-            let mut dm = directs(&ids);
-            let mut ru = updates(&ids);
-            let mut db = BytesMut::new();
-            let mut rb = BytesMut::new();
-            let ds = DirectMessage::wire_encode_batch_into(&mut db, &mut dm);
-            let rs = ReplicaUpdate::wire_encode_batch_into(&mut rb, &mut ru);
-            assert_eq!(ds.legacy_len, rs.legacy_len);
-            if ids.len() == 1 {
-                // Packed one-message frame: `0x80 | slot` · payload — beats
-                // the sparse frame's count byte, slot varint, and
-                // activation bitmap.
-                assert_eq!(db[0], PACKED_SINGLE_BIT | ids[0] as u8);
-                assert_eq!(db.len(), rb.len() - 3);
-            } else {
-                // Same adaptive machinery and mode choice (the activation
-                // bitmap shrinks sparse and dense equally), with the direct
-                // batch exactly one ⌈count/8⌉ activation bitmap shorter.
-                assert_eq!(ds.mode, rs.mode);
-                assert_eq!(db.len() + ids.len().div_ceil(8), rb.len());
-                assert_eq!(db[0], rb[0] + 2, "direct tags are replica tags + 2");
-            }
-            let out = DirectMessage::<f64>::wire_try_decode_batch(&mut &db[..])
-                .expect("well-formed direct batch must decode");
-            let mut sorted = directs(&ids);
-            sorted.sort_by_key(|m| m.slot);
-            assert_eq!(out, sorted);
-            assert!(
-                out.iter().all(|m| m.activate),
-                "decode must reconstruct activate = true"
-            );
-        }
-    }
-
-    #[test]
-    fn direct_and_replica_batches_reject_each_other() {
-        let ids: Vec<u32> = (0..30).collect();
-        let mut dm = directs(&ids);
-        let mut ru = updates(&ids);
-        let mut db = BytesMut::new();
-        let mut rb = BytesMut::new();
-        DirectMessage::wire_encode_batch_into(&mut db, &mut dm);
-        ReplicaUpdate::wire_encode_batch_into(&mut rb, &mut ru);
-        assert_eq!(
-            ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &db[..]),
-            None,
-            "a DirectBatch must not decode as a ReplicaBatch"
-        );
-        assert_eq!(
-            DirectMessage::<f64>::wire_try_decode_batch(&mut &rb[..]),
-            None,
-            "a ReplicaBatch must not decode as a DirectBatch"
-        );
-        // Both one-message frames are also DirectBatch-only.
-        for slot in [7u32, 300] {
-            let mut single = directs(&[slot]);
-            let mut sb = BytesMut::new();
-            DirectMessage::wire_encode_batch_into(&mut sb, &mut single);
-            if slot < 128 {
-                assert_eq!(sb[0], PACKED_SINGLE_BIT | slot as u8);
-                assert_eq!(sb.len(), 1 + 8, "packed frame is tag byte + payload");
-            } else {
-                assert_eq!(sb[0], DIRECT_BATCH_SINGLE);
-            }
-            assert_eq!(
-                ReplicaUpdate::<f64>::wire_try_decode_batch(&mut &sb[..]),
-                None,
-                "a single-message DirectBatch must not decode as a ReplicaBatch"
-            );
-            assert_eq!(
-                DirectMessage::<f64>::wire_try_decode_batch(&mut &sb[..]),
-                Some(single.clone()),
-                "slot {slot} single frame must round-trip"
-            );
-        }
-    }
-
-    #[test]
-    fn direct_batch_rejects_truncation_at_every_offset() {
-        for ids in [
-            (0..40u32).collect::<Vec<_>>(),
-            (0..12).map(|i| i * 5_000 + 17).collect(),
-            vec![300], // one-message frame with a two-byte slot varint
-            vec![9],   // packed one-message frame
-        ] {
-            let mut msgs = directs(&ids);
-            let mut full = BytesMut::new();
-            DirectMessage::wire_encode_batch_into(&mut full, &mut msgs);
-            for cut in 0..full.len() {
-                assert_eq!(
-                    DirectMessage::<f64>::wire_try_decode_batch(&mut &full[..cut]),
-                    None,
-                    "a {cut}-byte prefix of {} decoded",
-                    full.len()
-                );
-            }
-        }
     }
 
     #[test]

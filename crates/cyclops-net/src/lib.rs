@@ -51,7 +51,7 @@ pub mod transport;
 
 pub use barrier::{FlatBarrier, HierarchicalBarrier};
 pub use cluster::{priority_key, priority_key_inv, BucketMode, ClusterSpec, IMMEDIATE_KEY};
-pub use codec::{Codec, DirectMessage, ReplicaUpdate, WireFormat, WireMode, WireStats};
+pub use codec::{Codec, ReplicaUpdate, WireFormat, WireMode, WireStats};
 pub use metrics::{AggregateStats, Phase, PhaseHists, PhaseTimes, SchedObs, SuperstepStats};
 pub use slots::DisjointSlots;
 pub use trace::{RunTrace, StreamSummary, TraceRecord, TraceSink, WorkerTracer};

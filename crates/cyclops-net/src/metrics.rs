@@ -453,26 +453,6 @@ pub struct CounterSnapshot {
     pub wire_saved_bytes: usize,
 }
 
-impl CounterSnapshot {
-    /// Combines two snapshots — totals add, peaks take the maximum. Used to
-    /// fold a run's replica-update and direct-message transports into one
-    /// set of run counters.
-    pub fn merge(&self, other: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            messages: self.messages + other.messages,
-            bytes: self.bytes + other.bytes,
-            lock_contentions: self.lock_contentions + other.lock_contentions,
-            message_bytes_allocated: self.message_bytes_allocated + other.message_bytes_allocated,
-            peak_queue_bytes: self.peak_queue_bytes.max(other.peak_queue_bytes),
-            peak_queue_messages: self.peak_queue_messages.max(other.peak_queue_messages),
-            wire_dense_batches: self.wire_dense_batches + other.wire_dense_batches,
-            wire_sparse_batches: self.wire_sparse_batches + other.wire_sparse_batches,
-            wire_legacy_batches: self.wire_legacy_batches + other.wire_legacy_batches,
-            wire_saved_bytes: self.wire_saved_bytes + other.wire_saved_bytes,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

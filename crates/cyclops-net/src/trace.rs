@@ -99,17 +99,6 @@ pub struct TraceRecord {
     pub wire_dense: u64,
     /// Cross-machine batches this worker sent in the sparse wire mode.
     pub wire_sparse: u64,
-    /// Direct messages this worker sent during SND under hybrid
-    /// replication (cold boundary masters messaging instead of syncing a
-    /// replica). A subset of `messages`; 0 on full-replication runs — the
-    /// fields are then omitted from JSONL, keeping threshold-0 traces
-    /// byte-identical to pre-hybrid ones. Deterministic for a given
-    /// threshold and compared by [`diff`]; runs at *different* thresholds
-    /// compare with [`diff::first_value_divergence`], which skips every
-    /// traffic counter.
-    pub direct_messages: u64,
-    /// Cross-machine wire bytes of the direct-message batches above.
-    pub direct_bytes: u64,
     /// Relaxation rounds fused into this superstep by the bucketed
     /// scheduler (0 on non-bucketed runs — the field is then omitted from
     /// JSONL, keeping bucket-off traces byte-identical to pre-bucketing
@@ -225,9 +214,6 @@ pub struct WorkerTracer {
     /// superstep.
     wire_dense: AtomicU64,
     wire_sparse: AtomicU64,
-    /// Direct messages / bytes sent this superstep (hybrid replication).
-    direct_messages: AtomicU64,
-    direct_bytes: AtomicU64,
     /// Bucketed-scheduler accounting for this superstep: fused relaxation
     /// rounds, the bucket index drained, and distinct selected vertices.
     fused: AtomicU64,
@@ -290,8 +276,6 @@ impl WorkerTracer {
             fast_path: std::sync::atomic::AtomicBool::new(false),
             wire_dense: AtomicU64::new(0),
             wire_sparse: AtomicU64::new(0),
-            direct_messages: AtomicU64::new(0),
-            direct_bytes: AtomicU64::new(0),
             fused: AtomicU64::new(0),
             bucket: AtomicU64::new(0),
             bucket_occupancy: AtomicU64::new(0),
@@ -375,21 +359,6 @@ impl WorkerTracer {
         }
         if sparse > 0 {
             self.wire_sparse.fetch_add(sparse, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds direct messages / bytes sent by the calling thread this
-    /// superstep (hybrid replication's cold-vertex path). Callers also
-    /// attribute the same send through [`WorkerTracer::add_sent_to`] so the
-    /// run totals and the communication-matrix row stay consistent; this
-    /// only feeds the separate `direct_*` record columns.
-    #[inline]
-    pub fn add_direct(&self, messages: u64, bytes: u64) {
-        if messages > 0 {
-            self.direct_messages.fetch_add(messages, Ordering::Relaxed);
-        }
-        if bytes > 0 {
-            self.direct_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
@@ -519,8 +488,6 @@ impl WorkerTracer {
             sparse_fast_path: self.fast_path.swap(false, Ordering::Relaxed),
             wire_dense: self.wire_dense.swap(0, Ordering::Relaxed),
             wire_sparse: self.wire_sparse.swap(0, Ordering::Relaxed),
-            direct_messages: self.direct_messages.swap(0, Ordering::Relaxed),
-            direct_bytes: self.direct_bytes.swap(0, Ordering::Relaxed),
             fused: self.fused.swap(0, Ordering::Relaxed),
             bucket: self.bucket.swap(0, Ordering::Relaxed),
             bucket_occupancy: self.bucket_occupancy.swap(0, Ordering::Relaxed),
@@ -995,12 +962,6 @@ impl TraceRecord {
         if self.wire_sparse > 0 {
             let _ = write!(out, ",\"wire_sparse\":{}", self.wire_sparse);
         }
-        if self.direct_messages > 0 {
-            let _ = write!(out, ",\"direct_messages\":{}", self.direct_messages);
-        }
-        if self.direct_bytes > 0 {
-            let _ = write!(out, ",\"direct_bytes\":{}", self.direct_bytes);
-        }
         if self.fused > 0 {
             let _ = write!(
                 out,
@@ -1205,23 +1166,33 @@ impl MemRecord {
     }
 }
 
-/// Parses a fixed-length numeric array like `[1,2,3]` into `N` slots.
-fn parse_array<T: std::str::FromStr + Copy + Default, const N: usize>(raw: &str) -> Option<[T; N]> {
+/// Position of the retired `direct_slots` column in mem samples written
+/// while hybrid replication existed (one column more than today's layout).
+const LEGACY_DIRECT_SLOTS_COLUMN: usize = 3;
+
+/// Parses a per-component numeric array like `[1,2,3]` into
+/// [`cyclops_obs::Component::ALL`] order. Older traces may carry fewer
+/// components (missing ones read 0) or the retired `direct_slots` column,
+/// which is dropped; any other extra column is rejected.
+fn parse_components<T: std::str::FromStr + Copy + Default>(
+    raw: &str,
+) -> Option<[T; cyclops_obs::NUM_COMPONENTS]> {
     let inner = raw.trim().strip_prefix('[')?.strip_suffix(']')?;
-    let mut out = [T::default(); N];
-    let mut n = 0;
+    let mut vals = Vec::with_capacity(cyclops_obs::NUM_COMPONENTS + 1);
     for part in inner.split(',') {
         let part = part.trim();
-        if part.is_empty() {
-            continue;
+        if !part.is_empty() {
+            vals.push(part.parse().ok()?);
         }
-        // Older traces may carry fewer components; extras are rejected.
-        if n >= N {
-            return None;
-        }
-        out[n] = part.parse().ok()?;
-        n += 1;
     }
+    if vals.len() == cyclops_obs::NUM_COMPONENTS + 1 {
+        vals.remove(LEGACY_DIRECT_SLOTS_COLUMN);
+    }
+    if vals.len() > cyclops_obs::NUM_COMPONENTS {
+        return None;
+    }
+    let mut out = [T::default(); cyclops_obs::NUM_COMPONENTS];
+    out[..vals.len()].copy_from_slice(&vals);
     Some(out)
 }
 
@@ -1232,8 +1203,8 @@ pub fn parse_mem_line(line: &str) -> Option<MemRecord> {
     Some(MemRecord {
         superstep: num(line, "superstep")?,
         worker: num(line, "worker")?,
-        live: parse_array(field(line, "live")?)?,
-        peak: parse_array(field(line, "peak")?)?,
+        live: parse_components(field(line, "live")?)?,
+        peak: parse_components(field(line, "peak")?)?,
         rss_kb: num(line, "rss_kb").unwrap_or(0),
         hwm_kb: num(line, "hwm_kb").unwrap_or(0),
     })
@@ -1358,8 +1329,6 @@ fn parse_record(line: &str) -> Option<TraceRecord> {
             .unwrap_or(false),
         wire_dense: num(line, "wire_dense").unwrap_or(0),
         wire_sparse: num(line, "wire_sparse").unwrap_or(0),
-        direct_messages: num(line, "direct_messages").unwrap_or(0),
-        direct_bytes: num(line, "direct_bytes").unwrap_or(0),
         fused: num(line, "fused").unwrap_or(0),
         bucket: num(line, "bucket").unwrap_or(0),
         bucket_occupancy: num(line, "bucket_occupancy").unwrap_or(0),
@@ -1529,10 +1498,10 @@ pub mod diff {
     /// `(dst, messages, bytes)` portion: per-pair wire-mode counts stay
     /// diagnostic, like `wire_dense`/`wire_sparse`. With `values_only`
     /// every traffic-, schedule-, and visibility-shaped counter
-    /// (activated, drained, messages, bytes, direct_*, bucket accounting,
-    /// comm) is skipped: those legitimately differ between runs at
-    /// different replication thresholds or partitions, while the
-    /// computation-shaped counters and the publication digests must not.
+    /// (activated, drained, messages, bytes, bucket accounting, comm) is
+    /// skipped: those legitimately differ between runs on different
+    /// partitions, while the computation-shaped counters and the
+    /// publication digests must not.
     fn counters(r: &TraceRecord, values_only: bool) -> Vec<(&'static str, String)> {
         let mut out = vec![
             ("frontier", r.frontier.to_string()),
@@ -1561,8 +1530,6 @@ pub mod diff {
                 ("drained", r.drained.to_string()),
                 ("messages", r.messages.to_string()),
                 ("bytes", r.bytes.to_string()),
-                ("direct_messages", r.direct_messages.to_string()),
-                ("direct_bytes", r.direct_bytes.to_string()),
                 ("fused", r.fused.to_string()),
                 ("bucket", r.bucket.to_string()),
                 ("bucket_occupancy", r.bucket_occupancy.to_string()),
@@ -1587,8 +1554,8 @@ pub mod diff {
     }
 
     /// Values-only comparison for runs whose *traffic* is expected to
-    /// differ — e.g. the same algorithm at two replication thresholds, or
-    /// under two different partitions. Compares superstep alignment,
+    /// differ — e.g. the same algorithm under two different partitions.
+    /// Compares superstep alignment,
     /// the computation-shaped counters (frontier, computed,
     /// converged_delta, agg), and the publication digests, skipping every
     /// message/byte/schedule counter — and `activated`, whose local-only
@@ -1598,9 +1565,7 @@ pub mod diff {
     /// moves its compute (and its publication digest) to a different
     /// worker, so per-worker attribution legitimately shifts while the
     /// superstep-level totals and the merged digest multiset must not.
-    /// Per-worker-equal runs trivially aggregate equal, so this remains
-    /// how hybrid replication's bitwise-identical-results promise is
-    /// checked too.
+    /// Per-worker-equal runs trivially aggregate equal.
     pub fn first_value_divergence(a: &RunTrace, b: &RunTrace) -> Option<Divergence> {
         divergence(a, b, true, true)
     }
@@ -1891,30 +1856,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_fields_round_trip_and_values_only_diff_skips_traffic() {
-        // Nonzero direct counters survive JSONL; zero ones are omitted so
-        // threshold-0 lines stay byte-identical to pre-hybrid traces.
-        let mut r = TraceRecord {
-            superstep: 2,
-            worker: 1,
-            direct_messages: 7,
-            direct_bytes: 120,
-            ..Default::default()
-        };
-        let mut line = String::new();
-        r.to_json(&mut line);
-        assert!(line.contains("\"direct_messages\":7"));
-        assert!(line.contains("\"direct_bytes\":120"));
-        assert_eq!(parse_record_line(&line), Some(r.clone()));
-        r.direct_messages = 0;
-        r.direct_bytes = 0;
-        line.clear();
-        r.to_json(&mut line);
-        assert!(!line.contains("direct_"));
-
-        // Full diff flags a direct-counter difference; the values-only
+    fn values_only_diff_skips_traffic() {
+        // Full diff flags a traffic-counter difference; the values-only
         // diff (and digest compare) sees the runs as equivalent.
-        let mk = |dm: u64, db: u64, bytes: u64| RunTrace {
+        let mk = |messages: u64, bytes: u64| RunTrace {
             meta: TraceMeta::default(),
             spans: Vec::new(),
             mem: Vec::new(),
@@ -1922,16 +1867,14 @@ mod tests {
                 superstep: 0,
                 worker: 0,
                 computed: 5,
-                messages: 9,
+                messages,
                 bytes,
-                direct_messages: dm,
-                direct_bytes: db,
                 pubs: vec![(1, 42), (3, 7)],
                 ..Default::default()
             }],
         };
-        let a = mk(0, 0, 200);
-        let b = mk(4, 64, 150);
+        let a = mk(9, 200);
+        let b = mk(9, 150);
         let d = diff::first_divergence(&a, &b, true).unwrap();
         assert_eq!(d.counter, "bytes");
         assert_eq!(diff::first_value_divergence(&a, &b), None);
@@ -1951,9 +1894,10 @@ mod tests {
 
     #[test]
     fn legacy_record_with_migrated_counter_still_parses() {
-        // Traces written by earlier builds may carry a `"migrated"` counter
-        // that records no longer have. The parser looks fields up by key,
-        // so the extra key is ignored and the record parses unchanged.
+        // Traces written by earlier builds may carry `"migrated"` or
+        // `"direct_*"` counters that records no longer have. The parser
+        // looks fields up by key, so extra keys are ignored and the record
+        // parses unchanged.
         let r = TraceRecord {
             superstep: 3,
             worker: 1,
@@ -1964,6 +1908,14 @@ mod tests {
         r.to_json(&mut line);
         let legacy = line.replacen(",\"checkpoint\"", ",\"migrated\":2,\"checkpoint\"", 1);
         assert!(legacy.contains("\"migrated\":2"));
+        assert_eq!(parse_record_line(&legacy), Some(r.clone()));
+        // Likewise the retired hybrid-replication `direct_*` counters.
+        let legacy = line.replacen(
+            ",\"checkpoint\"",
+            ",\"direct_messages\":7,\"direct_bytes\":120,\"checkpoint\"",
+            1,
+        );
+        assert!(legacy.contains("\"direct_messages\":7,\"direct_bytes\":120"));
         assert_eq!(parse_record_line(&legacy), Some(r.clone()));
         assert_eq!(parse_record_line(&line), Some(r));
     }

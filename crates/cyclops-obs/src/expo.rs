@@ -189,11 +189,10 @@ mod tests {
     #[test]
     fn float_gauge_renders_fractional_values() {
         let r = MetricsRegistry::new();
-        r.float_gauge("cyclops_replication_factor", &[("mode", "hybrid")])
-            .set(1.375);
+        r.float_gauge("cyclops_replication_factor", &[]).set(1.375);
         let text = render_prometheus(&r);
         assert!(text.contains("# TYPE cyclops_replication_factor gauge"));
-        assert!(text.contains("cyclops_replication_factor{mode=\"hybrid\"} 1.375"));
+        assert!(text.contains("cyclops_replication_factor 1.375"));
         let json = render_json(&r);
         assert!(json.contains("\"type\":\"gauge\",\"value\":1.375"));
     }

@@ -51,15 +51,12 @@ pub enum Component {
     /// The input graph's CSR arrays.
     Graph,
     /// The immutable-view plan: master lists, in-edge CSRs, activation
-    /// fan-out, work-mass tables — everything except the replica and
-    /// direct-slot tables below.
+    /// fan-out, work-mass tables — everything except the replica tables
+    /// below.
     Plan,
     /// Replica machinery: replica id lists, mirror fan-out, replica
     /// activation CSRs, and the replica publication slots.
     Replicas,
-    /// Hybrid-replication direct-message machinery: slot source/target
-    /// tables, sender-side destination CSRs, and the slot value tables.
-    DirectSlots,
     /// The transport's pooled per-lane encode buffers and engine outboxes.
     SendPool,
     /// The transport's double-buffered inbox lanes.
@@ -73,7 +70,7 @@ pub enum Component {
 }
 
 /// Number of [`Component`] variants.
-pub const NUM_COMPONENTS: usize = 9;
+pub const NUM_COMPONENTS: usize = 8;
 
 impl Component {
     /// Every component, in serialization order ([`Component::Other`] last).
@@ -81,7 +78,6 @@ impl Component {
         Component::Graph,
         Component::Plan,
         Component::Replicas,
-        Component::DirectSlots,
         Component::SendPool,
         Component::Inbox,
         Component::Frontier,
@@ -95,7 +91,6 @@ impl Component {
             Component::Graph => "graph",
             Component::Plan => "plan",
             Component::Replicas => "replicas",
-            Component::DirectSlots => "direct_slots",
             Component::SendPool => "send_pool",
             Component::Inbox => "inbox",
             Component::Frontier => "frontier",

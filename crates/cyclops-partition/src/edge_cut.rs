@@ -78,133 +78,6 @@ impl EdgeCutPartition {
         total
     }
 
-    /// Replication factor of the degree-threshold hybrid view: boundary
-    /// vertices whose combined degree (in + out) is below `threshold` get no
-    /// replicas — their updates travel as per-edge direct messages instead.
-    /// `threshold == 0` is full replication and equals
-    /// [`Self::replication_factor`] exactly.
-    pub fn replication_factor_at_threshold(&self, g: &Graph, threshold: u32) -> f64 {
-        if g.num_vertices() == 0 {
-            return 0.0;
-        }
-        self.total_replicas_at_threshold(g, threshold) as f64 / g.num_vertices() as f64
-    }
-
-    /// Total replicas under the degree-threshold hybrid view (see
-    /// [`Self::replication_factor_at_threshold`]).
-    pub fn total_replicas_at_threshold(&self, g: &Graph, threshold: u32) -> usize {
-        let mut total = 0usize;
-        let mut seen = vec![u32::MAX; self.num_parts];
-        for u in g.vertices() {
-            if ((g.out_degree(u) + g.in_degree(u)) as u64) < threshold as u64 {
-                continue;
-            }
-            let home = self.part_of(u);
-            for &v in g.out_neighbors(u) {
-                let p = self.part_of(v) as usize;
-                if p as u32 != home && seen[p] != u {
-                    seen[p] = u;
-                    total += 1;
-                }
-            }
-        }
-        total
-    }
-
-    /// Splits the boundary vertices (those with at least one remote
-    /// out-neighbor) into `(replicated, messaged)` counts at `threshold`.
-    /// The two always sum to the boundary-vertex count.
-    pub fn boundary_split(&self, g: &Graph, threshold: u32) -> (usize, usize) {
-        let (mut replicated, mut messaged) = (0usize, 0usize);
-        for u in g.vertices() {
-            let home = self.part_of(u);
-            if g.out_neighbors(u).iter().any(|&v| self.part_of(v) != home) {
-                if ((g.out_degree(u) + g.in_degree(u)) as u64) < threshold as u64 {
-                    messaged += 1;
-                } else {
-                    replicated += 1;
-                }
-            }
-        }
-        (replicated, messaged)
-    }
-
-    /// Replication factor at each threshold in `thresholds`, in input order
-    /// — the factor-vs-threshold curve behind the Table 4 harness.
-    pub fn replication_factor_sweep(&self, g: &Graph, thresholds: &[u32]) -> Vec<(u32, f64)> {
-        thresholds
-            .iter()
-            .map(|&t| (t, self.replication_factor_at_threshold(g, t)))
-            .collect()
-    }
-
-    /// Picks the degree threshold minimizing modeled update traffic from the
-    /// degree histogram. The model prices one wire entry at 16 units and
-    /// weights each boundary vertex by its publication frequency: a vertex
-    /// with in-degree 0 publishes exactly once (nothing can ever change its
-    /// value after init), anything else is assumed to republish across a
-    /// nominal 16-superstep run. A replica then costs `16·freq` units per
-    /// mirror worker plus a standing 16-unit surcharge (its presence bit in
-    /// every dense update batch, INIT seeding, and replica memory); a direct
-    /// message costs `19·freq` units per cross-worker out-edge (the extra
-    /// 3/16 is the small-batch header tax measured on the direct path).
-    /// Evaluated at every distinct boundary degree; ties break toward the
-    /// smaller threshold (closer to full replication). In practice this
-    /// messages publish-once leaves — where the standing replica cost is
-    /// pure waste — and keeps replicas for every vertex that republishes.
-    pub fn auto_replicate_threshold(&self, g: &Graph) -> u32 {
-        // Per combined-degree class: modeled replica cost (mirror workers)
-        // and direct cost (cross-worker out-edges) of its boundary vertices.
-        let mut replica_cost: Vec<u64> = Vec::new();
-        let mut direct_cost: Vec<u64> = Vec::new();
-        let mut seen = vec![u32::MAX; self.num_parts];
-        for u in g.vertices() {
-            let home = self.part_of(u);
-            let (mut mirrors, mut cross) = (0u64, 0u64);
-            for &v in g.out_neighbors(u) {
-                let p = self.part_of(v) as usize;
-                if p as u32 != home {
-                    cross += 1;
-                    if seen[p] != u {
-                        seen[p] = u;
-                        mirrors += 1;
-                    }
-                }
-            }
-            if cross == 0 {
-                continue;
-            }
-            let d = g.out_degree(u) + g.in_degree(u);
-            if replica_cost.len() <= d {
-                replica_cost.resize(d + 1, 0);
-                direct_cost.resize(d + 1, 0);
-            }
-            // Publication frequency: in-degree 0 publishes once, everything
-            // else nominally every superstep of a 16-superstep run.
-            let freq = if g.in_degree(u) == 0 { 1 } else { 16 };
-            replica_cost[d] += 16 * freq * mirrors + 16;
-            direct_cost[d] += 19 * freq * cross;
-        }
-        if replica_cost.is_empty() {
-            return 0;
-        }
-        // cost(T) = sum_{d >= T} replica_cost[d] + sum_{d < T} direct_cost[d].
-        // Candidate thresholds are 0 and d+1 per degree class.
-        let mut replica_suffix: u64 = replica_cost.iter().sum();
-        let (mut best_t, mut best_cost) = (0u32, replica_suffix);
-        let mut direct_prefix = 0u64;
-        for (d, (&a, &b)) in replica_cost.iter().zip(&direct_cost).enumerate() {
-            replica_suffix -= a;
-            direct_prefix += b;
-            let cost = replica_suffix + direct_prefix;
-            if cost < best_cost {
-                best_cost = cost;
-                best_t = (d + 1) as u32;
-            }
-        }
-        best_t
-    }
-
     /// Vertex balance: largest part size divided by the ideal (average) size.
     /// 1.0 is perfect; Metis-style partitioners aim for ≤ 1 + imbalance.
     pub fn balance(&self) -> f64 {
@@ -307,60 +180,5 @@ mod tests {
     #[should_panic(expected = "part id out of range")]
     fn new_rejects_bad_assignment() {
         EdgeCutPartition::new(2, vec![0, 2]);
-    }
-
-    #[test]
-    fn threshold_zero_is_full_replication() {
-        let g = path(10);
-        let p = HashPartitioner.partition(&g, 2);
-        assert_eq!(p.total_replicas_at_threshold(&g, 0), p.total_replicas(&g));
-        assert_eq!(
-            p.replication_factor_at_threshold(&g, 0),
-            p.replication_factor(&g)
-        );
-    }
-
-    #[test]
-    fn high_threshold_replicates_nothing_and_split_sums_to_boundary() {
-        // Alternating path: every combined degree is <= 2, every vertex but
-        // the last is boundary.
-        let g = path(10);
-        let p = HashPartitioner.partition(&g, 2);
-        assert_eq!(p.total_replicas_at_threshold(&g, 3), 0);
-        for t in [0, 1, 2, 3, 100] {
-            let (replicated, messaged) = p.boundary_split(&g, t);
-            assert_eq!(replicated + messaged, 9, "threshold {t}");
-        }
-        assert_eq!(p.boundary_split(&g, 0), (9, 0));
-        assert_eq!(p.boundary_split(&g, 3), (0, 9));
-    }
-
-    #[test]
-    fn auto_messages_degree_one_leaves() {
-        // Ten degree-1 leaves on part 1 each point at a hub on part 0: one
-        // mirror each under full replication, one direct entry each when
-        // messaged — the 1/16 standing surcharge makes messaging win.
-        let mut b = GraphBuilder::new(11);
-        for leaf in 1..=10 {
-            b.add_edge(leaf, 0);
-        }
-        let g = b.build();
-        let mut assignment = vec![1; 11];
-        assignment[0] = 0;
-        let p = EdgeCutPartition::new(2, assignment);
-        assert_eq!(p.auto_replicate_threshold(&g), 2);
-        assert_eq!(p.total_replicas_at_threshold(&g, 2), 0);
-    }
-
-    #[test]
-    fn auto_keeps_replicas_for_parallel_edges() {
-        // Two parallel edges to the same remote part: one replica update
-        // beats two direct messages, so auto stays at 0.
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1);
-        b.add_edge(0, 1);
-        let g = b.build();
-        let p = EdgeCutPartition::new(2, vec![0, 1]);
-        assert_eq!(p.auto_replicate_threshold(&g), 0);
     }
 }

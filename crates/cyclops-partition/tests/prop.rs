@@ -82,38 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn hybrid_threshold_zero_matches_full_replication(g in arb_graph(), k in 1usize..6) {
-        let p = HashPartitioner.partition(&g, k);
-        prop_assert_eq!(p.total_replicas_at_threshold(&g, 0), p.total_replicas(&g));
-        prop_assert_eq!(
-            p.replication_factor_at_threshold(&g, 0),
-            p.replication_factor(&g)
-        );
-    }
-
-    #[test]
-    fn hybrid_replication_factor_is_monotone_in_threshold(g in arb_graph(), k in 1usize..6) {
-        let p = HashPartitioner.partition(&g, k);
-        let sweep = p.replication_factor_sweep(&g, &[0, 1, 2, 3, 4, 6, 8, 16, 64, u32::MAX]);
-        for w in sweep.windows(2) {
-            prop_assert!(
-                w[1].1 <= w[0].1 + 1e-12,
-                "factor rose from {} (t={}) to {} (t={})", w[0].1, w[0].0, w[1].1, w[1].0
-            );
-        }
-        // The boundary split is a partition of the boundary set at every
-        // threshold, including the modeled auto pick.
-        let boundary = g.vertices()
-            .filter(|&u| g.out_neighbors(u).iter().any(|&v| p.part_of(v) != p.part_of(u)))
-            .count();
-        let auto = p.auto_replicate_threshold(&g);
-        for t in [0, 1, 2, 8, auto, u32::MAX] {
-            let (replicated, messaged) = p.boundary_split(&g, t);
-            prop_assert_eq!(replicated + messaged, boundary);
-        }
-    }
-
-    #[test]
     fn vertex_cut_replication_factor_bounds(g in arb_graph(), k in 1usize..6) {
         for p in [
             RandomVertexCut::default().partition(&g, k),

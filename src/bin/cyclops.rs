@@ -35,7 +35,7 @@
 //!   --threads T           compute threads per worker (default 1)
 //!   --receivers R         receiver threads per worker (default 1)
 //!   --partitioner P       hash (default) | metis
-//!   --inbox MODE          hama inbox: global (default) | sharded
+//!   --inbox MODE          hama pagerank inbox: global (default) | sharded
 //!   --sched S             cyclops compute scheduler: static |
 //!                         dynamic (default, degree-weighted chunk claiming)
 //!   --sparse-cutoff F     sparse-superstep fast path: engage when the
@@ -49,16 +49,10 @@
 //!   --bucket-mode M       bucket drain order: det (default, reproducible
 //!                         schedule) | fast (arrival order); needs
 //!                         --bucket-width
-//!   --replicate-threshold N|auto  hybrid replication: boundary vertices
-//!                         with combined degree below N get no replica —
-//!                         their cross-worker edges are messaged directly
-//!                         (`auto` picks the threshold minimizing modeled
-//!                         update traffic; default 0 = replicate every
-//!                         boundary vertex; results identical)
 //!
 //! algorithm:
 //!   --epsilon F           convergence threshold (pagerank; default 1e-9)
-//!   --max-supersteps N    superstep cap (default 10000)
+//!   --max-supersteps N    superstep cap (default 10000; cc fixes 100000)
 //!   --source V            source vertex (sssp/bfs; default 0)
 //!   --sweeps N            label-propagation sweeps (cd; default 30)
 //!
@@ -126,8 +120,6 @@ struct Options {
     bucket_width: f64,
     bucket_auto: bool,
     bucket_mode: String,
-    replicate_threshold: u32,
-    replicate_auto: bool,
     prom: Option<String>,
     listen: Option<String>,
     hot: usize,
@@ -183,9 +175,6 @@ impl Default for Options {
             bucket_width: 0.0,
             bucket_auto: false,
             bucket_mode: "det".into(),
-            // 0 = full replication, keeping default runs/traces unchanged.
-            replicate_threshold: 0,
-            replicate_auto: false,
             prom: None,
             listen: None,
             hot: 0,
@@ -299,18 +288,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--bucket-mode" => opts.bucket_mode = value("--bucket-mode")?,
-            "--replicate-threshold" => {
-                let v = value("--replicate-threshold")?;
-                if v == "auto" {
-                    opts.replicate_auto = true;
-                    opts.replicate_threshold = 0;
-                } else {
-                    opts.replicate_auto = false;
-                    opts.replicate_threshold = v
-                        .parse()
-                        .map_err(|e| format!("--replicate-threshold: {e}"))?;
-                }
-            }
             "--prom" => opts.prom = Some(value("--prom")?),
             "--listen" => opts.listen = Some(value("--listen")?),
             "--hot" => opts.hot = value("--hot")?.parse().map_err(|e| format!("--hot: {e}"))?,
@@ -360,6 +337,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ));
         }
     }
+    let hama = matches!(opts.engine.as_str(), "hama" | "bsp");
+    if opts.given("--inbox") && !(hama && opts.command == "pagerank") {
+        return Err("--inbox applies only to pagerank --engine hama".into());
+    }
+    if opts.given("--sched") && hama {
+        return Err("--sched has no effect with --engine hama: it has no scheduler".into());
+    }
+    if opts.given("--max-supersteps") && opts.command == "cc" {
+        return Err("--max-supersteps has no effect on cc: its cap is fixed at 100000".into());
+    }
     // Spans ride on the trace file; without one they would vanish.
     if opts.flight && opts.trace.is_none() {
         return Err("--flight needs --trace FILE".into());
@@ -401,43 +388,50 @@ fn build_cluster(opts: &Options) -> ClusterSpec {
     }
 }
 
-/// Resolves `--replicate-threshold` against the run's actual graph and
-/// partition (`auto` models replica-update vs direct-message traffic from
-/// the boundary degree histogram and picks the argmin).
-fn resolve_replicate_threshold(opts: &Options, g: &Graph, partition: &EdgeCutPartition) -> u32 {
-    if opts.replicate_auto {
-        let t = partition.auto_replicate_threshold(g);
-        println!("replicate-threshold: auto -> {t}");
-        t
-    } else {
-        opts.replicate_threshold
+/// The one engine configuration of a Cyclops pagerank/sssp/cc run, built
+/// from the flags. A bucketed `auto` width starts at 8x the mean edge weight
+/// and retunes live; parse-time validation has already rejected the flags
+/// a run would ignore.
+fn cyclops_config(
+    opts: &Options,
+    cluster: ClusterSpec,
+    sched: cyclops_engine::Sched,
+    g: &Graph,
+) -> cyclops_engine::CyclopsConfig {
+    cyclops_engine::CyclopsConfig {
+        cluster,
+        sched,
+        // Connected components runs to quiescence on every engine.
+        max_supersteps: if opts.command == "cc" {
+            100_000
+        } else {
+            opts.max_supersteps
+        },
+        sparse_cutoff: opts.sparse_cutoff,
+        bucket_width: if opts.bucket_auto {
+            cyclops_algos::sssp::auto_bucket_width(g)
+        } else {
+            opts.bucket_width
+        },
+        bucket_mode: bucket_mode(opts),
+        bucket_adapt: opts.bucket_auto,
+        ..Default::default()
     }
 }
 
-/// Prints the hybrid-replication summary line (stable `key=value` fields,
-/// greppable by CI) and publishes the replication-mode metrics to the
-/// global registry when one is installed.
-fn report_hybrid<V, M>(threshold: u32, r: &cyclops_engine::CyclopsResult<V, M>) {
-    let ing = &r.ingress;
-    println!(
-        "hybrid: threshold={} replicated={} messaged={} boundary={} \
-         direct_messages={} direct_bytes={} replication_factor={:.6}",
-        threshold,
-        ing.replicated_boundary,
-        ing.messaged_boundary,
-        ing.replicated_boundary + ing.messaged_boundary,
-        r.direct_messages,
-        r.direct_bytes,
-        r.replication_factor,
-    );
+fn bucket_mode(opts: &Options) -> cyclops_net::BucketMode {
+    match opts.bucket_mode.as_str() {
+        "fast" => cyclops_net::BucketMode::Fast,
+        _ => cyclops_net::BucketMode::Det,
+    }
+}
+
+/// Publishes the run's replication factor to the global registry, when one
+/// is installed.
+fn publish_replication_factor<V, M>(r: &cyclops_engine::CyclopsResult<V, M>) {
     if let Some(reg) = cyclops::obs::global() {
-        let mode = if threshold > 0 { "hybrid" } else { "full" };
-        reg.float_gauge("cyclops_replication_factor", &[("mode", mode)])
+        reg.float_gauge("cyclops_replication_factor", &[])
             .set(r.replication_factor);
-        reg.counter("cyclops_direct_messages_total", &[])
-            .inc(r.direct_messages as u64);
-        reg.counter("cyclops_direct_bytes_total", &[])
-            .inc(r.direct_bytes as u64);
     }
 }
 
@@ -624,9 +618,9 @@ fn run(opts: &Options) -> Result<(), String> {
         }
         // `--values-only` compares only the result-determined columns
         // (frontier, computed, publications, aggregates), skipping traffic
-        // counters — the mode that can certify two hybrid-replication runs
-        // at different thresholds computed bitwise-identical values even
-        // though their wire traffic legitimately differs.
+        // counters — the mode that can certify two runs on different
+        // partitions computed bitwise-identical values even though their
+        // wire traffic legitimately differs.
         let divergence = if opts.values_only {
             cyclops_net::trace::diff::first_value_divergence(&ta, &tb)
         } else {
@@ -821,13 +815,6 @@ fn run(opts: &Options) -> Result<(), String> {
         "dynamic" => cyclops_engine::Sched::Dynamic,
         other => return Err(format!("unknown scheduler {other} (static|dynamic)")),
     };
-    let hybrid_requested = opts.replicate_auto || opts.replicate_threshold > 0;
-    if hybrid_requested && use_hama {
-        return Err("--replicate-threshold needs --engine cyclops".into());
-    }
-    if hybrid_requested && !matches!(opts.command.as_str(), "pagerank" | "sssp" | "cc") {
-        return Err("--replicate-threshold applies to pagerank, sssp, and cc".into());
-    }
     // Install the global metrics registry *before* the engines construct
     // their transports/barriers, so instrumentation handles resolve.
     if opts.prom.is_some() || opts.listen.is_some() {
@@ -883,19 +870,16 @@ fn run(opts: &Options) -> Result<(), String> {
                 );
                 (r.values, r.supersteps, r.counters.messages, r.stats)
             } else {
-                let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let r = cyclops_algos::pagerank::run_cyclops_pagerank_tuned(
+                let r = cyclops_engine::run_cyclops_traced(
+                    &cyclops_algos::pagerank::CyclopsPageRank {
+                        epsilon: opts.epsilon,
+                    },
                     &g,
                     &partition,
-                    &cluster,
-                    opts.epsilon,
-                    opts.max_supersteps,
-                    sched,
-                    opts.sparse_cutoff,
-                    threshold,
+                    &cyclops_config(opts, cluster, sched, &g),
                     sink.as_ref(),
                 );
-                report_hybrid(threshold, &r);
+                publish_replication_factor(&r);
                 (r.values, r.supersteps, r.counters.messages, r.stats)
             };
             finish_sink(opts, sink)?;
@@ -925,15 +909,10 @@ fn run(opts: &Options) -> Result<(), String> {
             } else {
                 build_sink(opts, "cyclops", &cluster)?
             };
-            // `auto` reaches the runners as width 0, which they resolve from
-            // the mean edge weight; an explicit positive width passes through.
-            let bucketed = opts.bucket_auto || opts.bucket_width > 0.0;
-            let bucket_mode = match opts.bucket_mode.as_str() {
-                "fast" => cyclops_net::BucketMode::Fast,
-                _ => cyclops_net::BucketMode::Det,
-            };
             let (values, supersteps) = if use_hama {
-                let r = if bucketed {
+                // `auto` reaches the runner as width 0, which it resolves
+                // from the mean edge weight.
+                let r = if opts.bucket_auto || opts.bucket_width > 0.0 {
                     cyclops_algos::sssp::run_bsp_sssp_bucketed(
                         &g,
                         &partition,
@@ -941,7 +920,7 @@ fn run(opts: &Options) -> Result<(), String> {
                         opts.source,
                         opts.max_supersteps,
                         opts.bucket_width,
-                        bucket_mode,
+                        bucket_mode(opts),
                     )
                 } else {
                     cyclops_algos::sssp::run_bsp_sssp(
@@ -953,35 +932,17 @@ fn run(opts: &Options) -> Result<(), String> {
                     )
                 };
                 (r.values, r.supersteps)
-            } else if bucketed {
-                let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let r = cyclops_algos::sssp::run_cyclops_sssp_bucketed(
-                    &g,
-                    &partition,
-                    &cluster,
-                    opts.source,
-                    opts.max_supersteps,
-                    opts.bucket_width,
-                    bucket_mode,
-                    threshold,
-                    sink.as_ref(),
-                );
-                report_hybrid(threshold, &r);
-                (r.values, r.supersteps)
             } else {
-                let threshold = resolve_replicate_threshold(opts, &g, &partition);
-                let r = cyclops_algos::sssp::run_cyclops_sssp_tuned(
+                let r = cyclops_engine::run_cyclops_traced(
+                    &cyclops_algos::sssp::CyclopsSssp {
+                        source: opts.source,
+                    },
                     &g,
                     &partition,
-                    &cluster,
-                    opts.source,
-                    opts.max_supersteps,
-                    sched,
-                    opts.sparse_cutoff,
-                    threshold,
+                    &cyclops_config(opts, cluster, sched, &g),
                     sink.as_ref(),
                 );
-                report_hybrid(threshold, &r);
+                publish_replication_factor(&r);
                 (r.values, r.supersteps)
             };
             finish_sink(opts, sink)?;
@@ -1006,17 +967,13 @@ fn run(opts: &Options) -> Result<(), String> {
             } else if bucketed {
                 // `auto` reaches the runner as width 0, which it resolves
                 // to one hop ring per bucket.
-                let bucket_mode = match opts.bucket_mode.as_str() {
-                    "fast" => cyclops_net::BucketMode::Fast,
-                    _ => cyclops_net::BucketMode::Det,
-                };
                 let r = cyclops_algos::bfs::run_cyclops_bfs_bucketed(
                     &g,
                     &partition,
                     &cluster,
                     opts.source,
                     opts.bucket_width,
-                    bucket_mode,
+                    bucket_mode(opts),
                 );
                 (r.values, r.supersteps)
             } else {
@@ -1053,19 +1010,14 @@ fn run(opts: &Options) -> Result<(), String> {
             let values = if use_hama {
                 cyclops_algos::cc::run_bsp_cc(&sym, &partition, &cluster).values
             } else {
-                // Resolved against the symmetrized graph — the one the run
-                // actually partitions and replicates.
-                let threshold = resolve_replicate_threshold(opts, &sym, &partition);
-                let r = cyclops_algos::cc::run_cyclops_cc_tuned(
+                let r = cyclops_engine::run_cyclops_traced(
+                    &cyclops_algos::cc::CyclopsComponents,
                     &sym,
                     &partition,
-                    &cluster,
-                    sched,
-                    opts.sparse_cutoff,
-                    threshold,
+                    &cyclops_config(opts, cluster, sched, &sym),
                     sink.as_ref(),
                 );
-                report_hybrid(threshold, &r);
+                publish_replication_factor(&r);
                 r.values
             };
             finish_sink(opts, sink)?;
@@ -1135,8 +1087,8 @@ input:       --input FILE | --dataset NAME [--scale F] [--seed N]
              datasets: Amazon GWeb LJournal Wiki SYN-GL DBLP RoadCA
 execution:   --engine cyclops|hama  --machines M --workers W
              --threads T --receivers R  --partitioner hash|metis
-             --inbox global|sharded (hama)
-             --sched static|dynamic (cyclops; dynamic = degree-weighted
+             --inbox global|sharded (hama pagerank only)
+             --sched static|dynamic (cyclops only; dynamic = degree-weighted
              chunk claiming, bitwise-identical results to static)
              --sparse-cutoff F  sparse-superstep fast path when the
              frontier is below F of local masters (default 0.015;
@@ -1151,13 +1103,8 @@ execution:   --engine cyclops|hama  --machines M --workers W
              drain order for reproducible traces; fast keeps arrival
              order (needs --bucket-width; bucketed runs reject --sched
              and --sparse-cutoff, which they would ignore)
-             --replicate-threshold N|auto  hybrid replication (cyclops
-             pagerank/sssp/cc): boundary vertices with combined degree
-             below N get no replica — their cross-worker edges receive
-             direct messages instead (auto = modeled-traffic argmin;
-             default 0 = replicate every boundary vertex; results
-             bitwise identical at every threshold)
-algorithm:   --epsilon F  --max-supersteps N  --source V  --sweeps N
+algorithm:   --epsilon F  --max-supersteps N (not cc: its cap is fixed)
+             --source V  --sweeps N
 output:      --output FILE  --top N  --stats
 tracing:     --trace FILE (pagerank; sssp/cc on cyclops)  --stream  --values
              --hot K  per-worker hot-vertex top-K sketch in the trace
@@ -1167,9 +1114,9 @@ tracing:     --trace FILE (pagerank; sssp/cc on cyclops)  --stream  --values
              trace-diff A B [--values]  reports the first divergent
              superstep/worker/counter between two runs and exits
              non-zero on divergence; --values-only compares only
-             result-determined columns (certifies two hybrid-threshold
-             runs computed identical values even though their traffic
-             counters differ)
+             result-determined columns (certifies two runs on different
+             partitions computed identical values even though their
+             traffic counters differ)
              metrics TRACE.jsonl  per-phase p50/p90/p99 + sparklines
              top TRACE.jsonl [--once] [--refresh-ms N]  live dashboard
              why-slow TRACE.jsonl [--json]  critical-path profile:
@@ -1193,7 +1140,6 @@ examples:
   cyclops pagerank --dataset GWeb --scale 0.2 --machines 3 --workers 2
   cyclops sssp --dataset RoadCA --source 5 --partitioner metis
   cyclops sssp --dataset RoadCA --bucket-width auto --bucket-mode det
-  cyclops pagerank --dataset GWeb --replicate-threshold auto
   cyclops gen --dataset Wiki --scale 0.1 --output wiki.txt
   cyclops cc --input wiki.txt --engine hama
   cyclops pagerank --dataset Amazon --trace run-a.jsonl --values
@@ -1336,27 +1282,21 @@ mod tests {
         assert!(parse_args(&args("bfs --bucket-width 2 --bucket-mode fast")).is_ok());
         assert!(parse_args(&args("sssp --sched static --sparse-cutoff 0")).is_ok());
         assert!(parse_args(&args("sssp --bucket-width 1 --bucket-mode greedy")).is_err());
-    }
-
-    #[test]
-    fn parses_and_validates_replicate_threshold() {
-        // Off by default: full replication.
-        let o = parse_args(&args("pagerank --dataset GWeb")).unwrap();
-        assert_eq!(o.replicate_threshold, 0);
-        assert!(!o.replicate_auto);
-        let o = parse_args(&args("pagerank --dataset GWeb --replicate-threshold 8")).unwrap();
-        assert_eq!(o.replicate_threshold, 8);
-        assert!(!o.replicate_auto);
-        let o = parse_args(&args("pagerank --dataset GWeb --replicate-threshold auto")).unwrap();
-        assert!(o.replicate_auto);
-        assert_eq!(o.replicate_threshold, 0);
-        // Rejections mirror --bucket-width: junk, negative, fractional,
-        // overflow, missing value.
-        assert!(parse_args(&args("pagerank --replicate-threshold nope")).is_err());
-        assert!(parse_args(&args("pagerank --replicate-threshold -1")).is_err());
-        assert!(parse_args(&args("pagerank --replicate-threshold 2.5")).is_err());
-        assert!(parse_args(&args("pagerank --replicate-threshold 5000000000")).is_err());
-        assert!(parse_args(&args("pagerank --replicate-threshold")).is_err());
+        // Flags no engine path reads for the command.
+        assert!(parse_args(&args("pagerank --engine hama --inbox sharded")).is_ok());
+        assert!(parse_args(&args("pagerank --engine bsp --inbox global")).is_ok());
+        assert!(parse_args(&args("pagerank --inbox sharded")).is_err());
+        assert!(parse_args(&args("sssp --engine hama --inbox sharded")).is_err());
+        assert!(parse_args(&args("cc --engine hama --inbox global")).is_err());
+        assert!(parse_args(&args("pagerank --engine hama --sched static")).is_err());
+        assert!(parse_args(&args("sssp --engine bsp --sched dynamic")).is_err());
+        assert!(parse_args(&args("pagerank --sched static")).is_ok());
+        assert!(parse_args(&args("cc --max-supersteps 5")).is_err());
+        assert!(parse_args(&args("cc --engine hama --max-supersteps 5")).is_err());
+        assert!(parse_args(&args("sssp --max-supersteps 5")).is_ok());
+        // Hybrid replication is gone: its flag is unknown.
+        let err = parse_args(&args("pagerank --replicate-threshold 2")).unwrap_err();
+        assert!(err.contains("unknown flag --replicate-threshold"), "{err}");
     }
 
     #[test]

@@ -46,17 +46,17 @@ proptest! {
         let oracle = run_cyclops_sssp(&g, &p, &ClusterSpec::flat(3, 1), 0, 100_000);
 
         let flat_det = run_cyclops_sssp_bucketed(
-            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Det, 0, None,
+            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Det, None,
         );
         prop_assert_eq!(&oracle.values, &flat_det.values, "flat cyclops det");
 
         let flat_fast = run_cyclops_sssp_bucketed(
-            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Fast, 0, None,
+            &g, &p, &ClusterSpec::flat(3, 1), 0, 100_000, width, BucketMode::Fast, None,
         );
         prop_assert_eq!(&oracle.values, &flat_fast.values, "flat cyclops fast");
 
         let mt = run_cyclops_sssp_bucketed(
-            &g, &p, &ClusterSpec::mt(3, 2, 2), 0, 100_000, width, BucketMode::Det, 0, None,
+            &g, &p, &ClusterSpec::mt(3, 2, 2), 0, 100_000, width, BucketMode::Det, None,
         );
         prop_assert_eq!(&oracle.values, &mt.values, "cyclops-mt det");
 
@@ -87,7 +87,6 @@ fn det_bucket_trace_is_stable_across_thread_counts() {
             100_000,
             0.0, // auto width
             BucketMode::Det,
-            0,
             Some(&sink),
         );
         let mut sink = sink;

@@ -455,10 +455,11 @@ fn invalid_bucket_width_fails_with_nonzero_exit() {
     assert!(stderr.contains("unknown bucket mode greedy"), "{stderr}");
 }
 
-/// Flags the chosen run would silently ignore exit non-zero instead.
+/// Flags the chosen run would silently ignore exit non-zero instead, and
+/// the retired hybrid-replication flag is unknown.
 #[test]
-fn ignored_bucket_flag_combinations_fail_with_nonzero_exit() {
-    let cases: [(&[&str], &str); 4] = [
+fn ignored_flag_combinations_fail_with_nonzero_exit() {
+    let cases: [(&[&str], &str); 12] = [
         (
             &["pagerank", "--bucket-width", "4"],
             "--bucket-width applies to sssp and bfs",
@@ -474,6 +475,38 @@ fn ignored_bucket_flag_combinations_fail_with_nonzero_exit() {
         (
             &["sssp", "--bucket-width", "2", "--sparse-cutoff", "0.1"],
             "--sparse-cutoff has no effect with --bucket-width",
+        ),
+        (
+            &["pagerank", "--inbox", "sharded"],
+            "--inbox applies only to pagerank --engine hama",
+        ),
+        (
+            &["sssp", "--engine", "hama", "--inbox", "sharded"],
+            "--inbox applies only to pagerank --engine hama",
+        ),
+        (
+            &["cc", "--inbox", "global"],
+            "--inbox applies only to pagerank --engine hama",
+        ),
+        (
+            &["pagerank", "--engine", "hama", "--sched", "static"],
+            "--sched has no effect with --engine hama",
+        ),
+        (
+            &["sssp", "--engine", "bsp", "--sched", "dynamic"],
+            "--sched has no effect with --engine hama",
+        ),
+        (
+            &["cc", "--max-supersteps", "5"],
+            "--max-supersteps has no effect on cc",
+        ),
+        (
+            &["cc", "--engine", "hama", "--max-supersteps", "5"],
+            "--max-supersteps has no effect on cc",
+        ),
+        (
+            &["pagerank", "--replicate-threshold", "2"],
+            "unknown flag --replicate-threshold",
         ),
     ];
     for (flags, diagnostic) in cases {

@@ -1,6 +1,6 @@
 //! Exactness tests for the tagged tracking allocator: the static audit
 //! (`CyclopsPlan::memory_breakdown`) must equal the live bytes the armed
-//! allocator tracked for the `Plan`/`Replicas`/`DirectSlots` components,
+//! allocator tracked for the `Plan`/`Replicas` components,
 //! and memory samples must round-trip through the trace file format.
 //!
 //! This lives in its own test binary because arming is process-global and
@@ -20,11 +20,10 @@ static ALLOC: cyclops::obs::MemAlloc = cyclops::obs::MemAlloc;
 /// make them serialize on this lock (the harness runs tests in threads).
 static LOCK: Mutex<()> = Mutex::new(());
 
-fn plan_components_live() -> [i64; 3] {
+fn plan_components_live() -> [i64; 2] {
     [
         mem::live_bytes(Component::Plan),
         mem::live_bytes(Component::Replicas),
-        mem::live_bytes(Component::DirectSlots),
     ]
 }
 
@@ -39,65 +38,42 @@ fn plan_breakdown_matches_tracked_bytes_exactly() {
     mem::arm();
     let g = Dataset::Amazon.generate_scaled(0.05, Dataset::Amazon.default_seed());
     let partition = HashPartitioner.partition(&g, 4);
-    for threshold in [0u32, 4, u32::MAX] {
-        let before = plan_components_live();
-        let plan = CyclopsPlan::build_parallel_with_threshold(&g, &partition, threshold);
-        let after = plan_components_live();
-        let b = plan.memory_breakdown();
-        assert_eq!(
-            (after[0] - before[0]) as usize,
-            b.plan,
-            "Plan bytes diverge from the audit at threshold {threshold}"
-        );
-        assert_eq!(
-            (after[1] - before[1]) as usize,
-            b.replicas,
-            "Replicas bytes diverge from the audit at threshold {threshold}"
-        );
-        assert_eq!(
-            (after[2] - before[2]) as usize,
-            b.direct_slots,
-            "DirectSlots bytes diverge from the audit at threshold {threshold}"
-        );
-        drop(plan);
-        assert_eq!(
-            plan_components_live(),
-            before,
-            "drop did not return components to baseline at threshold {threshold}"
-        );
-    }
+    let before = plan_components_live();
+    let plan = CyclopsPlan::build_parallel(&g, &partition);
+    let after = plan_components_live();
+    let b = plan.memory_breakdown();
+    assert_eq!(
+        (after[0] - before[0]) as usize,
+        b.plan,
+        "Plan bytes diverge from the audit"
+    );
+    assert_eq!(
+        (after[1] - before[1]) as usize,
+        b.replicas,
+        "Replicas bytes diverge from the audit"
+    );
+    drop(plan);
+    assert_eq!(
+        plan_components_live(),
+        before,
+        "drop did not return components to baseline"
+    );
 }
 
 /// The serial builder attributes identically (it shares
-/// `attribute_memory`), and the replica ledger shrinks as the threshold
-/// trades replicas for direct slots — the bench panel's claim in
-/// miniature.
+/// `attribute_memory`).
 #[test]
-fn serial_build_attributes_and_threshold_shrinks_replicas() {
+fn serial_build_attributes_replicas_exactly() {
     let _guard = LOCK.lock().unwrap();
     mem::arm();
     let g = Dataset::Amazon.generate_scaled(0.05, Dataset::Amazon.default_seed());
     let partition = HashPartitioner.partition(&g, 4);
 
     let before = plan_components_live();
-    let full = CyclopsPlan::build_with_threshold(&g, &partition, 0);
+    let full = CyclopsPlan::build(&g, &partition);
     let after = plan_components_live();
     let bf = full.memory_breakdown();
     assert_eq!((after[1] - before[1]) as usize, bf.replicas);
-
-    let hybrid = CyclopsPlan::build_with_threshold(&g, &partition, 8);
-    let bh = hybrid.memory_breakdown();
-    assert!(
-        bh.replicas < bf.replicas,
-        "threshold 8 must spend fewer replica bytes than full replication \
-         ({} vs {})",
-        bh.replicas,
-        bf.replicas
-    );
-    assert!(
-        bh.direct_slots > bf.direct_slots,
-        "threshold 8 must spend more direct-slot bytes than full replication"
-    );
 }
 
 /// Memory samples survive the JSONL round trip: `sample` → `take_samples`
@@ -158,7 +134,6 @@ fn bucketed_settle_attributes_send_pool_to_each_sender() {
         100_000,
         0.0, // auto width
         BucketMode::Det,
-        0,
         Some(&sink),
     );
     let mut sent = [0u64; 6];

@@ -166,3 +166,30 @@ fn pooling_is_invisible_except_to_the_allocator() {
     );
     assert!(pooled.counters.message_bytes_allocated < fresh.counters.message_bytes_allocated / 4);
 }
+
+/// Under `--sched dynamic` the per-chunk reduction order is pinned, so the
+/// values-mode PageRank trace must be identical across compute thread
+/// counts — not just the comm columns, but every value and digest.
+#[test]
+fn dynamic_sched_trace_is_stable_across_thread_counts() {
+    let g = Dataset::GWeb.generate_scaled(0.04, 19);
+    let narrow = ClusterSpec::mt(2, 2, 1);
+    let wide = ClusterSpec::mt(2, 4, 2);
+    assert_eq!(narrow.num_workers(), wide.num_workers());
+    let p = HashPartitioner.partition(&g, narrow.num_workers());
+
+    let sink_n = TraceSink::with_values("cyclops", &narrow);
+    let rn = run_cyclops_pagerank_sched(&g, &p, &narrow, 1e-8, 60, Sched::Dynamic, Some(&sink_n));
+    let sink_w = TraceSink::with_values("cyclops", &wide);
+    let rw = run_cyclops_pagerank_sched(&g, &p, &wide, 1e-8, 60, Sched::Dynamic, Some(&sink_w));
+    for (v, (a, b)) in rn.values.iter().zip(&rw.values).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}");
+    }
+    assert_eq!(rn.counters.messages, rw.counters.messages);
+    assert_eq!(rn.counters.bytes, rw.counters.bytes);
+    assert_eq!(
+        diff::first_value_divergence(&finish(sink_n), &finish(sink_w)),
+        None,
+        "dynamic-sched trace must not depend on thread count"
+    );
+}

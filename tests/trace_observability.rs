@@ -344,15 +344,13 @@ fn comm_matrix_is_identical_across_thread_counts() {
     for threads in [1usize, 2, 4] {
         let cluster = ClusterSpec::mt(2, threads, 1);
         let sink = TraceSink::new("cyclops", &cluster);
-        cyclops_algos::pagerank::run_cyclops_pagerank_tuned(
+        cyclops_algos::pagerank::run_cyclops_pagerank_sched(
             &g,
             &p,
             &cluster,
             0.0,
             8,
             cyclops_engine::Sched::Dynamic,
-            0.015,
-            0,
             Some(&sink),
         );
         let trace = finish(sink);
@@ -388,7 +386,6 @@ fn comm_matrix_is_identical_across_thread_counts() {
             100_000,
             0.0, // auto width
             cyclops_net::BucketMode::Det,
-            0,
             Some(&sink),
         );
         let trace = finish(sink);
